@@ -65,7 +65,7 @@ func (cc *ChaosConfig) faultSpec(procs int) (comm.FaultSpec, error) {
 		OnCrash:         cc.OnCrash,
 	}
 	if cc.CrashPhase != "" {
-		lo, hi, ok := core.PhaseTagRange(0, cc.CrashPhase)
+		lo, hi, ok := core.PhaseTagRange(cc.CrashPhase)
 		if !ok {
 			return comm.FaultSpec{}, fmt.Errorf("hssort: unknown chaos crash phase %q (valid values: %s)", cc.CrashPhase, strings.Join(chaosPhases, ", "))
 		}
@@ -151,7 +151,7 @@ func ParseChaosSpec(s string) (*ChaosConfig, error) {
 				}
 				cc.CrashAfterSends = n
 			} else {
-				if _, _, ok := core.PhaseTagRange(0, when); !ok {
+				if _, _, ok := core.PhaseTagRange(when); !ok {
 					return nil, fmt.Errorf("hssort: chaos crash phase %q (valid values: %s)", when, strings.Join(chaosPhases, ", "))
 				}
 				cc.CrashPhase = when

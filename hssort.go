@@ -508,34 +508,29 @@ func resolveCoder[K any](cfg Config, builtin keycoder.Coder[K]) (keycoder.Coder[
 
 // bijectiveCodePlane reports whether the algorithm's whole pipeline can
 // run in code space (keys encoded once, codes travel the exchange,
-// output decoded once). Bitonic and OverPartition keep their
-// comparator-structured data movement.
-func bijectiveCodePlane(a Algorithm) bool {
-	switch a {
-	case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, HistogramSort, Radix, NodeHSS:
-		return true
-	}
-	return false
-}
+// output decoded once): the splitter-based algorithms and Radix.
+// Bitonic and OverPartition keep their comparator-structured data
+// movement.
+func bijectiveCodePlane(a Algorithm) bool { return splitterBased(a) || a == Radix }
 
 // recordCodePlane reports whether the algorithm accepts the decorated
 // record plane (payload-carrying keys sorted and merged by extracted
 // codes). HistogramSort and Radix are excluded: they need the full
 // bijection for key-space arithmetic, which records do not admit.
-func recordCodePlane(a Algorithm) bool {
-	switch a {
-	case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, NodeHSS:
-		return true
-	}
-	return false
-}
+func recordCodePlane(a Algorithm) bool { return splitterBased(a) && a != HistogramSort }
 
 // prefixCodePlane reports whether the algorithm accepts the prefix
 // plane (non-injective order-preserving codes with comparator
-// tie-breaks — byte-string keys). HistogramSort qualifies: its probe
-// bisection runs over code space directly. Radix does not — it needs
-// the full bijection to reconstruct keys from codes.
-func prefixCodePlane(a Algorithm) bool {
+// tie-breaks — byte-string keys): every splitter-based algorithm does,
+// HistogramSort bisecting code space directly. Radix does not — it
+// needs the full bijection to reconstruct keys from codes.
+func prefixCodePlane(a Algorithm) bool { return splitterBased(a) }
+
+// splitterBased reports whether the algorithm partitions by determined
+// splitters — the algorithms the core pipeline driver runs, and so the
+// ones that support plans, the streaming exchange, memory budgets and
+// the prefix plane.
+func splitterBased(a Algorithm) bool {
 	switch a {
 	case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, HistogramSort, NodeHSS:
 		return true

@@ -54,11 +54,11 @@ func TestCancelMidHistogram(t *testing.T) {
 				rankErrs := make([]error, p)
 				err := pool.Run(ctx, func(c *comm.Comm) error {
 					opt := Options[int64]{
-						Cmp:       cmp.Compare[int64],
-						Epsilon:   0.01, // tight: guarantees several rounds
-						ChunkKeys: chunkKeys,
-						Workers:   3, // the leak assertion covers the worker pool's forks
+						Cmp:     cmp.Compare[int64],
+						Epsilon: 0.01, // tight: guarantees several rounds
 					}
+					// The leak assertion covers the worker pool's forks.
+					pipe := Pipeline[int64]{ChunkKeys: chunkKeys, Workers: 3}
 					if c.Rank() == 0 {
 						opt.OnRound = func(rt RoundTrace) {
 							if rt.Round == 1 {
@@ -66,7 +66,7 @@ func TestCancelMidHistogram(t *testing.T) {
 							}
 						}
 					}
-					_, _, err := Sort(c, shards[c.Rank()], opt)
+					_, _, err := sortHSS(c, shards[c.Rank()], pipe, opt)
 					rankErrs[c.Rank()] = err
 					return err
 				})
@@ -83,8 +83,8 @@ func TestCancelMidHistogram(t *testing.T) {
 				// sort after the cancellation.
 				fresh := dist.Spec{Kind: dist.Gaussian}.Shards(1000, p, 8)
 				if err := pool.Run(context.Background(), func(c *comm.Comm) error {
-					_, _, err := Sort(c, fresh[c.Rank()], Options[int64]{
-						Cmp: cmp.Compare[int64], Epsilon: 0.2, ChunkKeys: chunkKeys, Workers: 3,
+					_, _, err := sortHSS(c, fresh[c.Rank()], Pipeline[int64]{ChunkKeys: chunkKeys, Workers: 3}, Options[int64]{
+						Cmp: cmp.Compare[int64], Epsilon: 0.2,
 					})
 					return err
 				}); err != nil {

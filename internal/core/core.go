@@ -6,8 +6,6 @@ import (
 
 	"hssort/internal/collective"
 	"hssort/internal/comm"
-	"hssort/internal/exchange"
-	"hssort/internal/keycoder"
 	"hssort/internal/sampling"
 	"hssort/internal/spill"
 )
@@ -41,38 +39,14 @@ func (s Schedule) String() string {
 	}
 }
 
-// Options configures an HSS sort. Cmp is required; every other field has
-// a documented default applied by Sort.
+// Options configures HSS splitter determination — the algorithm the
+// paper contributes. Cmp is required; every other field has a
+// documented default. Options.Determine is HSS's Determiner; the rest
+// of a sort (local sort, partition, exchange, merge) is the shared
+// pipeline driver's (see Run and Pipeline).
 type Options[K any] struct {
 	// Cmp is the three-way key comparator.
 	Cmp func(K, K) int
-	// Coder, when set, runs the entire pipeline on the code plane: keys
-	// are encoded once into order-preserving uint64 code points, every
-	// compute phase (radix local sort, partition cuts, histogram scans,
-	// code-keyed merges — on the streaming exchange the codes themselves
-	// travel in the chunks) runs on raw integer comparisons, and the
-	// output is decoded once at the end. The coder must agree with Cmp:
-	// Cmp(a,b) < 0 ⇔ Encode(a) < Encode(b) and Cmp(a,b) == 0 ⇔ codes
-	// equal. Takes precedence over Code.
-	Coder keycoder.Coder[K]
-	// Code, when set (and Coder is not), supplies a per-key sort code for
-	// the decorated compute plane — the payload-carrying case where keys
-	// cannot be reconstructed from codes alone (hssort.KV records). The
-	// local sort radix-sorts a code decoration with the records in tow,
-	// partition cuts run on the code array, and both merge paths compare
-	// codes (received runs are encoded once per hop). Must be
-	// order-preserving for Cmp like Coder.
-	Code func(K) uint64
-	// PrefixCode marks Code as a non-injective prefix extractor: it is
-	// order-preserving only in the weak sense cmp(a, b) < 0 ⟹ code(a) <=
-	// code(b), and distinct keys may share a code (variable-length byte
-	// keys truncated to an 8-byte prefix). The pipeline then runs the
-	// prefix plane: code-keyed kernels everywhere, with a comparator
-	// tie-break after the radix local sort and inside the merges, and
-	// splitter determination in code space (prefix-equal splitter
-	// candidates saturate instead of looping rounds — see
-	// SplitterInfo.Finalized). Requires Code; ignored when Coder is set.
-	PrefixCode bool
 	// Epsilon is the load-imbalance threshold ε: every bucket receives
 	// at most N(1+ε)/B keys w.h.p. Default 0.05.
 	Epsilon float64
@@ -81,9 +55,6 @@ type Options[K any] struct {
 	// ChaNGa configurations set it to node count or virtual-processor
 	// count.
 	Buckets int
-	// Owner maps a bucket to the rank that receives it. Default:
-	// exchange.ContiguousOwner(Buckets, p).
-	Owner func(bucket int) int
 	// Schedule selects the sampling discipline. Default
 	// FixedOversampling.
 	Schedule Schedule
@@ -108,46 +79,6 @@ type Options[K any] struct {
 	// ApproxSize is the representative sample size per rank; default
 	// sampling.RepresentativeSize(Buckets, Epsilon).
 	ApproxSize int
-	// ChunkKeys, when positive, selects the streaming chunked exchange:
-	// bucket payloads move in ChunkKeys-sized chunks interleaved across
-	// destinations and the k-way merge runs incrementally as chunks
-	// arrive, overlapping the exchange tail (§6.2) with bounded peak
-	// memory. 0 (the default) selects the materializing exchange.
-	ChunkKeys int
-	// Workers is this rank's compute-phase worker budget: the radix
-	// local sort, partition scans, encode/decode maps and off-overlap
-	// merges fan over a par.Pool of this size. <= 1 (the default) runs
-	// every kernel serially; output is identical for every budget. The
-	// root engine resolves its Config.Workers = 0 default
-	// (GOMAXPROCS/hosted-ranks) before threading the value down here.
-	Workers int
-	// Splitters, when non-nil, injects pre-determined splitters (a
-	// stored plan) and skips splitter determination entirely: the sort
-	// goes straight to partition → exchange → merge with Stats.Rounds =
-	// 0. The slice must hold Buckets-1 keys in non-decreasing cmp order
-	// — Sort validates once and panics otherwise, mirroring the
-	// validate-at-determination contract of exchange.Partition. Every
-	// rank must inject the same splitters.
-	Splitters []K
-	// StaleBound, with injected Splitters, arms the staleness guard:
-	// after partitioning, the ranks all-reduce the per-bucket loads and,
-	// if the observed bucket imbalance max·B/N exceeds StaleBound, throw
-	// the stale plan away and re-histogram (Stats.Replanned reports it).
-	// The guard costs one B-length reduction per sort. 0 disables it. A
-	// natural setting is (1+ε)·slack, e.g. 1.5·(1+ε).
-	StaleBound float64
-	// Scratch, when non-nil, is this rank's reusable exchange state; a
-	// long-lived engine passes the same Scratch on every call (see
-	// exchange.Scratch). Each rank needs its own.
-	Scratch *exchange.Scratch[K]
-	// Spill, when non-nil, is this rank's out-of-core manager: the local
-	// sort runs spill.LocalSort against its budget and the exchange's
-	// receive path diverts over-budget streams to compressed run files
-	// (see spill.Manager). nil keeps every phase fully in memory.
-	Spill *spill.Manager
-	// BaseTag is the start of the tag range (12 tags) this sort uses on
-	// the endpoint. Default 1000.
-	BaseTag comm.Tag
 	// PipelineChunk is the chunk size (elements) for pipelined
 	// broadcast/reduction. Default 4096.
 	PipelineChunk int
@@ -182,9 +113,6 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	if o.Cmp == nil {
 		return o, fmt.Errorf("core: Options.Cmp is required")
 	}
-	if o.PrefixCode && o.Code == nil {
-		return o, fmt.Errorf("core: PrefixCode requires Code")
-	}
 	if o.Epsilon == 0 {
 		o.Epsilon = 0.05
 	}
@@ -196,9 +124,6 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	}
 	if o.Buckets < 1 {
 		return o, fmt.Errorf("core: Buckets %d < 1", o.Buckets)
-	}
-	if o.Owner == nil {
-		o.Owner = exchange.ContiguousOwner(o.Buckets, p)
 	}
 	if o.OversampleFactor == 0 {
 		o.OversampleFactor = 5
@@ -216,26 +141,11 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 		}
 		o.MaxRounds = 4*bound + 8
 	}
-	if o.ChunkKeys < 0 {
-		return o, fmt.Errorf("core: ChunkKeys %d < 0", o.ChunkKeys)
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
-	if o.StaleBound < 0 {
-		return o, fmt.Errorf("core: StaleBound %v < 0", o.StaleBound)
-	}
-	if o.Splitters != nil && len(o.Splitters) != o.Buckets-1 {
-		return o, fmt.Errorf("core: %d injected splitters for %d buckets (want %d)", len(o.Splitters), o.Buckets, o.Buckets-1)
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 	if o.ApproxSize == 0 {
 		o.ApproxSize = sampling.RepresentativeSize(o.Buckets, o.Epsilon)
-	}
-	if o.BaseTag == 0 {
-		o.BaseTag = 1000
 	}
 	if o.PipelineChunk == 0 {
 		o.PipelineChunk = 4096
@@ -246,39 +156,45 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	return o, nil
 }
 
-// Tag offsets within the sort's BaseTag range.
+// The tag layout of one sort, shared by every algorithm the driver
+// runs, so tooling that targets a phase (ChaosConfig.CrashPhase) hits
+// the same tags whichever algorithm is configured.
 const (
-	tagCount    = 0 // global N all-reduce (+1)
-	tagPlan     = 2 // round plan broadcast
-	tagSample   = 3 // sample gather
-	tagProbes   = 4 // probe broadcast
-	tagRanks    = 5 // histogram reduction
-	tagExchange = 6 // bucket exchange
-	tagStale    = 7 // staleness-guard bucket-load all-reduce
-	tagStats    = 9 // stats all-reduce (+1)
-	// TagSpan is the number of consecutive tags a Sort call occupies
-	// starting at BaseTag.
-	TagSpan = 11
+	// BaseTag is the first tag a sort occupies on its endpoint.
+	BaseTag comm.Tag = 1000
+	// tagCount is the global key-count all-reduce (+1).
+	tagCount = BaseTag
+	// SplitterTag is the first of SplitterTags consecutive tags a
+	// Determiner may use.
+	SplitterTag  = BaseTag + 2
+	SplitterTags = 4
+	// RouteTag is the first of RouteTags consecutive tags a Route may
+	// use; the flat exchange uses only the first.
+	RouteTag  = SplitterTag + SplitterTags
+	RouteTags = 3
+	// tagStale is the staleness guard's bucket-load all-reduce (+1) —
+	// and Plan's quality reduction, which never shares a run with it.
+	tagStale = RouteTag + RouteTags
+	// tagStats is the closing stats all-reduce (+1).
+	tagStats = tagStale + 2
+	// tagEnd is one past the last tag of a sort.
+	tagEnd = tagStats + 2
 )
 
 // PhaseTagRange maps a named sort phase to the half-open tag interval
-// [lo, hi) it occupies within the BaseTag range, for chaos/fault tooling
-// that triggers on "the first message of phase X". base == 0 selects the
-// default BaseTag (1000). Recognised phases: "start" (the whole span),
-// "splitter" (count all-reduce through histogram reduction), "exchange"
-// (bucket exchange and the staleness guard, excluding the closing stats
-// all-reduce). ok is false for any other name.
-func PhaseTagRange(base comm.Tag, phase string) (lo, hi comm.Tag, ok bool) {
-	if base == 0 {
-		base = 1000
-	}
+// [lo, hi) it occupies, for chaos/fault tooling that triggers on "the
+// first message of phase X". Recognised phases: "start" (the whole
+// span), "splitter" (count all-reduce through splitter determination),
+// "exchange" (data movement and the staleness guard, excluding the
+// closing stats all-reduce). ok is false for any other name.
+func PhaseTagRange(phase string) (lo, hi comm.Tag, ok bool) {
 	switch phase {
 	case "start":
-		return base, base + TagSpan, true
+		return BaseTag, tagEnd, true
 	case "splitter":
-		return base, base + tagExchange, true
+		return BaseTag, RouteTag, true
 	case "exchange":
-		return base + tagExchange, base + tagStats, true
+		return RouteTag, tagStats, true
 	}
 	return 0, 0, false
 }

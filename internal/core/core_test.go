@@ -16,16 +16,37 @@ import (
 
 func icmp(a, b int64) int { return cmp.Compare(a, b) }
 
+// sortHSS starts an HSS sort — opt.Determine through the pipeline
+// driver on the comparator plane — with pipe's algorithm-independent
+// options (their Buckets default to opt.Buckets).
+func sortHSS(c *comm.Comm, local []int64, pipe Pipeline[int64], opt Options[int64]) ([]int64, Stats, error) {
+	return sortOn(c, local, KeyPlane(opt.Cmp, nil), pipe, opt)
+}
+
+// sortOn is sortHSS on an explicit key plane.
+func sortOn(c *comm.Comm, local []int64, plane Plane[int64, int64], pipe Pipeline[int64], opt Options[int64]) ([]int64, Stats, error) {
+	if pipe.Buckets == 0 {
+		pipe.Buckets = opt.Buckets
+	}
+	return Run(c, local, plane, pipe, opt.Determine)
+}
+
 // runSort sorts the given shards with opt and returns per-rank outputs
 // and the stats observed on rank 0.
 func runSort(t *testing.T, shards [][]int64, opt Options[int64]) ([][]int64, Stats) {
+	t.Helper()
+	return runSortOn(t, shards, KeyPlane(opt.Cmp, nil), Pipeline[int64]{}, opt)
+}
+
+// runSortOn is runSort on an explicit plane and pipeline.
+func runSortOn(t *testing.T, shards [][]int64, plane Plane[int64, int64], pipe Pipeline[int64], opt Options[int64]) ([][]int64, Stats) {
 	t.Helper()
 	p := len(shards)
 	outs := make([][]int64, p)
 	var stats Stats
 	w := comm.NewWorld(p, comm.WithTimeout(60*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
-		out, st, err := Sort(c, shards[c.Rank()], opt)
+		out, st, err := sortOn(c, shards[c.Rank()], plane, pipe, opt)
 		if err != nil {
 			return err
 		}
@@ -169,9 +190,8 @@ func TestSortRoundRobinOwner(t *testing.T) {
 		in[i] = slices.Clone(shards[i])
 	}
 	buckets := 2 * p
-	outs, _ := runSort(t, in, Options[int64]{
+	outs, _ := runSortOn(t, in, KeyPlane(icmp, nil), Pipeline[int64]{Owner: exchange.RoundRobinOwner(p)}, Options[int64]{
 		Cmp: icmp, Epsilon: 0.1, Buckets: buckets,
-		Owner: exchange.RoundRobinOwner(p),
 	})
 	var got []int64
 	for r, out := range outs {
@@ -231,7 +251,7 @@ func TestSortMassDuplicatesTerminates(t *testing.T) {
 func TestSortRejectsMissingCmp(t *testing.T) {
 	w := comm.NewWorld(2, comm.WithTimeout(5*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
-		_, _, err := Sort(c, []int64{1}, Options[int64]{})
+		_, _, err := sortHSS(c, []int64{1}, Pipeline[int64]{}, Options[int64]{})
 		if err == nil {
 			return fmt.Errorf("missing Cmp accepted")
 		}
@@ -251,7 +271,7 @@ func TestDetermineSplittersAgreeAcrossRanks(t *testing.T) {
 	err := w.Run(func(c *comm.Comm) error {
 		local := slices.Clone(shards[c.Rank()])
 		slices.Sort(local)
-		sp, info, err := DetermineSplitters(c, local, int64(p*perRank), Options[int64]{Cmp: icmp, Epsilon: 0.05})
+		sp, info, err := Options[int64]{Cmp: icmp, Epsilon: 0.05}.Determine(c, local, int64(p*perRank))
 		if err != nil {
 			return err
 		}
@@ -326,7 +346,7 @@ func TestSortProperty(t *testing.T) {
 		outs := make([][]int64, p)
 		w := comm.NewWorld(p, comm.WithTimeout(60*time.Second))
 		err := w.Run(func(c *comm.Comm) error {
-			out, _, err := Sort(c, in[c.Rank()], Options[int64]{
+			out, _, err := sortHSS(c, in[c.Rank()], Pipeline[int64]{}, Options[int64]{
 				Cmp: icmp, Epsilon: 0.2, Schedule: sched, Seed: uint64(seed) + 1,
 			})
 			outs[c.Rank()] = out
@@ -354,11 +374,10 @@ func TestSortProperty(t *testing.T) {
 	}
 }
 
-// TestSortViaCoder: Options.Coder runs the entire pipeline in code
-// space (encode once, sort codes, decode once) and must be
-// rank-identical to the comparator plane — with both the materializing
-// and the streaming exchange, and composable with the decorated
-// Options.Code extractor plane as a third oracle.
+// TestSortViaCoder: the decorated plane (KeyPlane with a code
+// extractor) must be rank-identical to the comparator plane — with both
+// the materializing and the streaming exchange — and run the identical
+// protocol.
 func TestSortViaCoder(t *testing.T) {
 	const p, perRank = 6, 3000
 	for _, chunkKeys := range []int{0, 256} {
@@ -370,30 +389,23 @@ func TestSortViaCoder(t *testing.T) {
 			}
 			return in
 		}
-		base := Options[int64]{Cmp: icmp, Epsilon: 0.1, Seed: 5, ChunkKeys: chunkKeys}
+		base := Options[int64]{Cmp: icmp, Epsilon: 0.1, Seed: 5}
+		pipe := Pipeline[int64]{ChunkKeys: chunkKeys}
 
-		wantOuts, wantStats := runSort(t, clone(), base)
+		wantOuts, wantStats := runSortOn(t, clone(), KeyPlane(icmp, nil), pipe, base)
 
-		coded := base
-		coded.Coder = keycoder.Int64{}
-		gotOuts, gotStats := runSort(t, clone(), coded)
-
-		decorated := base
-		decorated.Code = func(k int64) uint64 { return keycoder.Int64{}.Encode(k) }
-		decOuts, _ := runSort(t, clone(), decorated)
+		code := func(k int64) uint64 { return keycoder.Int64{}.Encode(k) }
+		decOuts, decStats := runSortOn(t, clone(), KeyPlane(icmp, code), pipe, base)
 
 		for r := range wantOuts {
-			if !slices.Equal(gotOuts[r], wantOuts[r]) {
-				t.Fatalf("chunk=%d rank %d: Coder plane diverged from comparator plane", chunkKeys, r)
-			}
 			if !slices.Equal(decOuts[r], wantOuts[r]) {
 				t.Fatalf("chunk=%d rank %d: Code extractor plane diverged from comparator plane", chunkKeys, r)
 			}
 		}
-		if gotStats.Rounds != wantStats.Rounds || gotStats.TotalSample != wantStats.TotalSample {
+		if decStats.Rounds != wantStats.Rounds || decStats.TotalSample != wantStats.TotalSample {
 			t.Errorf("chunk=%d: protocol diverged: %d rounds/%d sample vs %d/%d",
-				chunkKeys, gotStats.Rounds, gotStats.TotalSample, wantStats.Rounds, wantStats.TotalSample)
+				chunkKeys, decStats.Rounds, decStats.TotalSample, wantStats.Rounds, wantStats.TotalSample)
 		}
-		checkGloballySorted(t, shards, gotOuts)
+		checkGloballySorted(t, shards, decOuts)
 	}
 }

@@ -28,7 +28,7 @@ func TestSortSurvivesAsErrorWhenLinkFails(t *testing.T) {
 		}))
 	shards := dist.Spec{Kind: dist.Uniform}.Shards(2000, p, 3)
 	err := w.Run(func(c *comm.Comm) error {
-		_, _, err := Sort(c, shards[c.Rank()], Options[int64]{Cmp: icmp, Epsilon: 0.1})
+		_, _, err := sortHSS(c, shards[c.Rank()], Pipeline[int64]{}, Options[int64]{Cmp: icmp, Epsilon: 0.1})
 		return err
 	})
 	if err == nil {
@@ -49,7 +49,7 @@ func TestConcurrentWorldsIsolated(t *testing.T) {
 		shards := dist.Spec{Kind: dist.Gaussian}.Shards(3000, p, seed)
 		w := comm.NewWorld(p, comm.WithTimeout(30*time.Second))
 		out <- w.Run(func(c *comm.Comm) error {
-			sorted, st, err := Sort(c, shards[c.Rank()], Options[int64]{Cmp: icmp, Epsilon: 0.1, Seed: seed})
+			sorted, st, err := sortHSS(c, shards[c.Rank()], Pipeline[int64]{}, Options[int64]{Cmp: icmp, Epsilon: 0.1, Seed: seed})
 			if err != nil {
 				return err
 			}

@@ -25,7 +25,7 @@ func TestSortForcedPipelinedCollectives(t *testing.T) {
 	var stats Stats
 	w := comm.NewWorld(p, comm.WithTimeout(60*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
-		out, st, err := Sort(c, in[c.Rank()], Options[int64]{
+		out, st, err := sortHSS(c, in[c.Rank()], Pipeline[int64]{}, Options[int64]{
 			Cmp:               icmp,
 			Epsilon:           0.1,
 			Seed:              3,
@@ -61,7 +61,7 @@ func TestSortPipelineThresholdBoundary(t *testing.T) {
 		outs := make([][]int64, p)
 		w := comm.NewWorld(p, comm.WithTimeout(60*time.Second))
 		err := w.Run(func(c *comm.Comm) error {
-			out, _, err := Sort(c, shards[c.Rank()], Options[int64]{
+			out, _, err := sortHSS(c, shards[c.Rank()], Pipeline[int64]{}, Options[int64]{
 				Cmp: icmp, Epsilon: 0.1, Seed: 5,
 				PipelineThreshold: threshold, PipelineChunk: 8,
 			})

@@ -28,6 +28,14 @@ type SplitterInfo struct {
 	Finalized bool
 }
 
+// HSS's determination tags, within the pipeline's splitter range.
+const (
+	tagPlan   = SplitterTag     // round plan broadcast
+	tagSample = SplitterTag + 1 // sample gather
+	tagProbes = SplitterTag + 2 // probe broadcast
+	tagRanks  = SplitterTag + 3 // histogram reduction
+)
+
 // roundPlan is the per-round broadcast from the central processor: either
 // the sampling instructions for the next round or the final splitters.
 type roundPlan[K any] struct {
@@ -281,11 +289,12 @@ func reduceRanks[K any](c *comm.Comm, root int, tag comm.Tag, ranks []int64, opt
 	return collective.Reduce(c, root, tag, ranks, collective.SumInt64)
 }
 
-// DetermineSplitters runs the splitter-determination protocol over the
-// world, each rank holding sortedLocal (already locally sorted), with n
-// total keys. It returns the Buckets-1 splitters on every rank. Defaults
-// are applied to opt internally.
-func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Options[K]) ([]K, SplitterInfo, error) {
+// Determine is HSS's Determiner: it runs the splitter-determination
+// protocol over the world, each rank holding sortedLocal (already
+// locally sorted), with n total keys, and returns the Buckets-1
+// splitters on every rank. Defaults are applied to the options
+// internally.
+func (opt Options[K]) Determine(c *comm.Comm, sortedLocal []K, n int64) ([]K, SplitterInfo, error) {
 	opt, err := opt.withDefaults(c.Size())
 	if err != nil {
 		return nil, SplitterInfo{}, err
@@ -295,7 +304,6 @@ func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Optio
 	}
 	root := 0
 	me := c.Rank()
-	base := opt.BaseTag
 	rng := rand.New(rand.NewPCG(opt.Seed, 0xda3e39cb94b95bdb^uint64(me)))
 
 	// Approximate histogramming (§3.4): build the per-rank
@@ -326,7 +334,7 @@ func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Optio
 		if me == root {
 			plan = rc.plan(round)
 		}
-		plan, err := bcastPlan(c, root, base+tagPlan, plan)
+		plan, err := bcastPlan(c, root, tagPlan, plan)
 		if err != nil {
 			return nil, info, err
 		}
@@ -340,7 +348,7 @@ func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Optio
 
 		// Sampling phase (§3.3 step 4).
 		sample := sampleIntervals(sortedLocal, plan.Intervals, plan.Prob, opt.Cmp, rng)
-		parts, err := collective.Gatherv(c, root, base+tagSample, sample)
+		parts, err := collective.Gatherv(c, root, tagSample, sample)
 		if err != nil {
 			return nil, info, err
 		}
@@ -350,7 +358,7 @@ func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Optio
 		}
 
 		// Histogramming phase (§3.3 steps 1-3).
-		probes, err = bcastKeys(c, root, base+tagProbes, probes, opt)
+		probes, err = bcastKeys(c, root, tagProbes, probes, opt)
 		if err != nil {
 			return nil, info, err
 		}
@@ -358,7 +366,7 @@ func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Optio
 		info.SamplePerRound = append(info.SamplePerRound, int64(len(probes)))
 		info.TotalSample += int64(len(probes))
 
-		global, err := reduceRanks(c, root, base+tagRanks, localRanks(probes), opt)
+		global, err := reduceRanks(c, root, tagRanks, localRanks(probes), opt)
 		if err != nil {
 			return nil, info, err
 		}

@@ -23,7 +23,7 @@ func TestOnRoundTrace(t *testing.T) {
 	var rounds int
 	w := comm.NewWorld(p, comm.WithTimeout(60*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
-		_, st, err := Sort(c, shards[c.Rank()], Options[int64]{
+		_, st, err := sortHSS(c, shards[c.Rank()], Pipeline[int64]{}, Options[int64]{
 			Cmp: icmp, Epsilon: 0.02, Seed: 5,
 			OnRound: func(tr RoundTrace) {
 				mu.Lock()
@@ -80,7 +80,7 @@ func TestBucketsExceedKeys(t *testing.T) {
 	outs := make([][]int64, p)
 	w := comm.NewWorld(p, comm.WithTimeout(30*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
-		out, _, err := Sort(c, in[c.Rank()], Options[int64]{
+		out, _, err := sortHSS(c, in[c.Rank()], Pipeline[int64]{}, Options[int64]{
 			Cmp: icmp, Epsilon: 0.1, Buckets: 64, Seed: 3,
 		})
 		outs[c.Rank()] = out
@@ -99,7 +99,7 @@ func TestTwoRanksMinimal(t *testing.T) {
 	outs := make([][]int64, 2)
 	w := comm.NewWorld(2, comm.WithTimeout(30*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
-		out, _, err := Sort(c, in[c.Rank()], Options[int64]{Cmp: icmp, Epsilon: 0.5, Seed: 1})
+		out, _, err := sortHSS(c, in[c.Rank()], Pipeline[int64]{}, Options[int64]{Cmp: icmp, Epsilon: 0.5, Seed: 1})
 		outs[c.Rank()] = out
 		return err
 	})

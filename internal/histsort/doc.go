@@ -10,8 +10,15 @@
 // bounded by log of the key range — the weakness on skewed or clustered
 // key distributions that HSS removes (§2.3, §6.3).
 //
+// The package supplies only that probe refinement, as a Determiner
+// (Options.Determine) for the internal/core pipeline driver, which runs
+// every other phase. Its SplitterInfo reports one probe count per round
+// and Finalized = false when MaxRounds or an exhausted code interval
+// forced the fallback to the closest candidates.
+//
 // Key-space bisection needs arithmetic on keys, so this algorithm is only
 // available for key types with an order-preserving integer code
-// (internal/keycoder); hssort.Sort rejects it for SortFunc-style opaque
-// comparators.
+// (internal/keycoder) — or on the byte-key prefix plane, where the view
+// is the code array itself and codes.Identity is the coder;
+// hssort.Sort rejects it for SortFunc-style opaque comparators.
 package histsort

@@ -3,45 +3,30 @@ package histsort
 import (
 	"fmt"
 	"slices"
-	"time"
 
-	"hssort/internal/codes"
 	"hssort/internal/collective"
 	"hssort/internal/comm"
 	"hssort/internal/core"
 	"hssort/internal/exchange"
 	"hssort/internal/histogram"
 	"hssort/internal/keycoder"
-	"hssort/internal/par"
-	"hssort/internal/spill"
 )
 
-// Options configures a classic histogram sort. Cmp and Coder are
-// required: the coder supplies the key-space arithmetic that probe
-// synthesis needs.
+// Options configures classic histogram sort's probe refinement — its
+// Determiner (Options.Determine); the rest of the sort is the shared
+// pipeline driver's (core.Run). Cmp and Coder are required: the coder
+// supplies the key-space arithmetic that probe synthesis needs. On the
+// prefix plane the determination view is the sorted code array itself,
+// and codes.Identity is the Coder that bisects code space directly.
 type Options[K any] struct {
 	// Cmp is the three-way key comparator.
 	Cmp func(K, K) int
 	// Coder is the order-preserving key <-> uint64 code bijection.
 	Coder keycoder.Coder[K]
-	// Code, when set, must be an order-preserving uint64 extractor for
-	// Cmp; the compute hot paths (local sort, partition cuts, merges)
-	// then run on the comparator-free code plane (see core.Options.Code).
-	// Unset leaves every phase on the comparator, Coder notwithstanding —
-	// the Coder alone only feeds probe synthesis.
-	Code func(K) uint64
-	// PrefixCode marks Code as a non-injective prefix extractor (see
-	// core.Options.PrefixCode). Probe refinement then bisects the code
-	// space directly — probes are code points, no Coder is needed (and
-	// Coder is ignored) — while the compute phases run code-keyed with a
-	// comparator tie-break. Requires Code.
-	PrefixCode bool
 	// Epsilon is the target load-imbalance threshold. Default 0.05.
 	Epsilon float64
 	// Buckets is the number of output ranges. Default: world size.
 	Buckets int
-	// Owner maps buckets to ranks. Default contiguous.
-	Owner func(bucket int) int
 	// ProbesPerSplitter is how many evenly spaced probes each
 	// unfinalized splitter contributes per round (subdividing its code
 	// interval into ProbesPerSplitter+1 parts). Default 1 (pure
@@ -50,38 +35,13 @@ type Options[K any] struct {
 	// MaxRounds caps refinement rounds; the fallback then uses the
 	// closest candidates seen. Default 72 (64-bit bisection + slack).
 	MaxRounds int
-	// ChunkKeys, when positive, selects the streaming chunked exchange
-	// (see core.Options.ChunkKeys). 0 = materializing exchange.
-	ChunkKeys int
-	// Workers is the size of this rank's compute worker pool (see
-	// core.Options.Workers). <=1 keeps every kernel serial.
-	Workers int
-	// Splitters, when non-nil, injects pre-determined splitters and
-	// skips probe refinement entirely (see core.Options.Splitters):
-	// Buckets-1 keys in non-decreasing cmp order, identical on every
-	// rank.
-	Splitters []K
-	// StaleBound arms the staleness guard for injected Splitters (see
-	// core.Options.StaleBound). 0 disables it.
-	StaleBound float64
-	// Scratch, when non-nil, is this rank's reusable exchange state
-	// (see core.Options.Scratch).
-	Scratch *exchange.Scratch[K]
-	// Spill, when non-nil, is this rank's out-of-core manager (see
-	// core.Options.Spill). nil keeps every phase in memory.
-	Spill *spill.Manager
-	// BaseTag is the start of the tag range this sort uses. Default 3000.
-	BaseTag comm.Tag
 }
 
 func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	if o.Cmp == nil {
 		return o, fmt.Errorf("histsort: Options.Cmp is required")
 	}
-	if o.PrefixCode && o.Code == nil {
-		return o, fmt.Errorf("histsort: PrefixCode requires Code")
-	}
-	if o.Coder == nil && !o.PrefixCode {
+	if o.Coder == nil {
 		return o, fmt.Errorf("histsort: Options.Coder is required")
 	}
 	if o.Epsilon == 0 {
@@ -96,40 +56,21 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	if o.Buckets < 1 {
 		return o, fmt.Errorf("histsort: Buckets %d < 1", o.Buckets)
 	}
-	if o.Owner == nil {
-		o.Owner = exchange.ContiguousOwner(o.Buckets, p)
-	}
 	if o.ProbesPerSplitter < 1 {
 		o.ProbesPerSplitter = 1
 	}
 	if o.MaxRounds == 0 {
 		o.MaxRounds = 72
 	}
-	if o.ChunkKeys < 0 {
-		return o, fmt.Errorf("histsort: ChunkKeys %d < 0", o.ChunkKeys)
-	}
-	if o.StaleBound < 0 {
-		return o, fmt.Errorf("histsort: StaleBound %v < 0", o.StaleBound)
-	}
-	if o.Splitters != nil && len(o.Splitters) != o.Buckets-1 {
-		return o, fmt.Errorf("histsort: %d injected splitters for %d buckets (want %d)", len(o.Splitters), o.Buckets, o.Buckets-1)
-	}
-	if o.BaseTag == 0 {
-		o.BaseTag = 3000
-	}
 	return o, nil
 }
 
-// Tag offsets within BaseTag.
+// Probe-refinement tags, within the pipeline's splitter range.
 const (
-	tagCount    = 0 // N all-reduce (+1)
-	tagProbes   = 2 // probe broadcast
-	tagRanks    = 3 // histogram reduction
-	tagSplit    = 4 // final splitter broadcast
-	tagExchange = 5 // bucket exchange
-	tagStats    = 6 // stats all-reduce (+1)
-	tagInfo     = 8 // rounds broadcast
-	tagStale    = 9 // staleness-guard bucket-load all-reduce
+	tagProbes = core.SplitterTag     // probe broadcast
+	tagRanks  = core.SplitterTag + 1 // histogram reduction
+	tagSplit  = core.SplitterTag + 2 // final splitter broadcast
+	tagInfo   = core.SplitterTag + 3 // outcome broadcast
 )
 
 // splitterSearch is the root's bisection state for one splitter.
@@ -138,247 +79,21 @@ type splitterSearch struct {
 	done   bool
 }
 
-// Sort runs classic histogram sort on this rank's keys and returns its
-// globally sorted partition. Every rank must call Sort with the same
-// Options. The input slice is consumed.
-func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, error) {
-	opt, err := opt.withDefaults(c.Size())
+// Determine is classic histogram sort's Determiner — the
+// probe-refinement loop of §2.3 over locally sorted keys. It returns the
+// splitters on every rank with one probe count per round; Finalized is
+// false when MaxRounds or an exhausted code interval ended a search
+// before its splitter met the target window.
+func (o Options[K]) Determine(c *comm.Comm, local []K, n int64) ([]K, core.SplitterInfo, error) {
+	opt, err := o.withDefaults(c.Size())
 	if err != nil {
-		return nil, core.Stats{}, err
+		return nil, core.SplitterInfo{}, err
 	}
-	if opt.PrefixCode {
-		return sortPrefix(c, local, opt)
-	}
-	base := opt.BaseTag
-	pool := par.New(opt.Workers)
-	var stats core.Stats
-	stats.Buckets = opt.Buckets
-	stats.Workers = pool.Workers()
-
-	t0 := time.Now()
-	localCodes, err := spill.LocalSort(opt.Spill, local, opt.Code, opt.Cmp, pool)
-	if err != nil {
-		return nil, stats, err
-	}
-	localSort := time.Since(t0)
-
-	nVec, err := collective.AllReduce(c, base+tagCount, []int64{int64(len(local))}, collective.SumInt64)
-	if err != nil {
-		return nil, stats, err
-	}
-	n := nVec[0]
-	stats.N = n
-
-	bytes0 := c.Counters().BytesSent
-	t1 := time.Now()
-	splitters := opt.Splitters
-	if splitters != nil {
-		exchange.ValidateSplitters(splitters, opt.Cmp)
-	} else {
-		var rounds int
-		var totalProbes int64
-		splitters, rounds, totalProbes, err = DetermineSplitters(c, local, n, opt)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Rounds = rounds
-		stats.TotalSample = totalProbes
-	}
-	splitterTime := time.Since(t1)
-	splitterBytes := c.Counters().BytesSent - bytes0
-
-	partition := func(sp []K) [][]K {
-		if localCodes != nil {
-			return exchange.PartitionByCodePar(local, localCodes, codes.Extract(sp, opt.Code), pool)
-		}
-		return exchange.PartitionPar(local, sp, opt.Cmp, pool)
-	}
-	t2 := time.Now()
-	runs := partition(splitters)
-	partitionTime := time.Since(t2)
-	if opt.Splitters != nil && opt.StaleBound > 0 {
-		t3 := time.Now()
-		imb, _, err := exchange.RunsImbalance(c, base+tagStale, runs)
-		if err != nil {
-			return nil, stats, err
-		}
-		if imb > opt.StaleBound {
-			stats.Replanned = true
-			splitters, rounds, totalProbes, err := DetermineSplitters(c, local, n, opt)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Rounds = rounds
-			stats.TotalSample = totalProbes
-			runs = partition(splitters)
-		}
-		splitterTime += time.Since(t3)
-		splitterBytes = c.Counters().BytesSent - bytes0
-	}
-	bytes1 := c.Counters().BytesSent
-	out, exchangeTime, mergeTime, sst, err := exchange.ExchangeMerge(
-		c, base+tagExchange, runs, opt.Owner, opt.Cmp, opt.Code,
-		exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: pool, Spill: opt.Spill}, opt.Scratch)
-	if err != nil {
-		return nil, stats, err
-	}
-	exchangeBytes := c.Counters().BytesSent - bytes1
-	stats.LocalCount = len(out)
-
-	pc := pool.Counters()
-	if err := core.FinishStats(c, base+tagStats, &stats, core.PhaseTimes{
-		SplitterBytes: splitterBytes,
-		ExchangeBytes: exchangeBytes,
-		LocalSort:     localSort,
-		Splitter:      splitterTime,
-		Exchange:      partitionTime + exchangeTime,
-		Merge:         mergeTime,
-		Overlap:       sst.Overlap,
-		PeakInFlight:  sst.PeakInFlight,
-		OutCount:      len(out),
-		ParSpawned:    pc.Spawned,
-		ParTasks:      pc.Tasks,
-		Spill:         opt.Spill.TakeStats(),
-	}); err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
-}
-
-// sortPrefix is the prefix plane (Options.PrefixCode): the local sort
-// radix-sorts the code decoration and repairs equal-code spans with the
-// comparator, and probe refinement bisects the code space directly —
-// every probe is a code point, so the protocol needs no key-space
-// Decode and the probe traffic stays fixed-size regardless of key
-// length. codes.Identity is the degenerate Coder that makes the root's
-// bisection arithmetic run on the codes themselves. Partition cuts run
-// on codes and the merges tie-break equal codes with the comparator
-// (see core.Options.PrefixCode). opt must already have defaults
-// applied.
-func sortPrefix[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, error) {
-	base := opt.BaseTag
-	pool := par.New(opt.Workers)
-	var stats core.Stats
-	stats.Buckets = opt.Buckets
-	stats.Workers = pool.Workers()
-
-	t0 := time.Now()
-	localCodes := codes.SortByCodePar(local, opt.Code, pool)
-	collisions := codes.TieBreakPar(localCodes, local, opt.Cmp, pool)
-	localSort := time.Since(t0)
-
-	nVec, err := collective.AllReduce(c, base+tagCount, []int64{int64(len(local))}, collective.SumInt64)
-	if err != nil {
-		return nil, stats, err
-	}
-	n := nVec[0]
-	stats.N = n
-
-	bytes0 := c.Counters().BytesSent
-	t1 := time.Now()
-	var spCodes []codes.Code
-	if opt.Splitters != nil {
-		spCodes = codes.Extract(opt.Splitters, opt.Code)
-		exchange.ValidateSplitters(spCodes, codes.Compare)
-	} else {
-		var rounds int
-		var totalProbes int64
-		spCodes, rounds, totalProbes, err = DetermineSplitters(c, localCodes, n, prefixDetOptions(opt))
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Rounds = rounds
-		stats.TotalSample = totalProbes
-	}
-	splitterTime := time.Since(t1)
-	splitterBytes := c.Counters().BytesSent - bytes0
-
-	t2 := time.Now()
-	runs := exchange.PartitionByCodePar(local, localCodes, spCodes, pool)
-	partitionTime := time.Since(t2)
-	if opt.Splitters != nil && opt.StaleBound > 0 {
-		t3 := time.Now()
-		imb, _, err := exchange.RunsImbalance(c, base+tagStale, runs)
-		if err != nil {
-			return nil, stats, err
-		}
-		if imb > opt.StaleBound {
-			stats.Replanned = true
-			var rounds int
-			var totalProbes int64
-			spCodes, rounds, totalProbes, err = DetermineSplitters(c, localCodes, n, prefixDetOptions(opt))
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Rounds = rounds
-			stats.TotalSample = totalProbes
-			runs = exchange.PartitionByCodePar(local, localCodes, spCodes, pool)
-		}
-		splitterTime += time.Since(t3)
-		splitterBytes = c.Counters().BytesSent - bytes0
-	}
-	bytes1 := c.Counters().BytesSent
-	out, exchangeTime, mergeTime, sst, err := exchange.ExchangeMerge(
-		c, base+tagExchange, runs, opt.Owner, opt.Cmp, opt.Code,
-		exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: pool, Tie: true}, opt.Scratch)
-	if err != nil {
-		return nil, stats, err
-	}
-	exchangeBytes := c.Counters().BytesSent - bytes1
-	stats.LocalCount = len(out)
-
-	pc := pool.Counters()
-	if err := core.FinishStats(c, base+tagStats, &stats, core.PhaseTimes{
-		SplitterBytes:    splitterBytes,
-		ExchangeBytes:    exchangeBytes,
-		LocalSort:        localSort,
-		Splitter:         splitterTime,
-		Exchange:         partitionTime + exchangeTime,
-		Merge:            mergeTime,
-		Overlap:          sst.Overlap,
-		PeakInFlight:     sst.PeakInFlight,
-		OutCount:         len(out),
-		ParSpawned:       pc.Spawned,
-		ParTasks:         pc.Tasks,
-		PrefixCollisions: collisions,
-	}); err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
-}
-
-// prefixDetOptions projects prefix-plane options onto code space for
-// probe refinement: the root bisects code intervals whose probes ARE the
-// codes (codes.Identity), and every rank answers rank queries over its
-// sorted code decoration under raw integer comparison.
-func prefixDetOptions[K any](o Options[K]) Options[codes.Code] {
-	return Options[codes.Code]{
-		Cmp:               codes.Compare,
-		Coder:             codes.Identity{},
-		Code:              codes.ExtractCode,
-		Epsilon:           o.Epsilon,
-		Buckets:           o.Buckets,
-		ProbesPerSplitter: o.ProbesPerSplitter,
-		MaxRounds:         o.MaxRounds,
-		BaseTag:           o.BaseTag,
-	}
-}
-
-// DetermineSplitters runs the probe-refinement loop of §2.3 over
-// locally sorted keys. It returns the splitters on every rank plus the
-// round count and total probe volume. Exported so splitter plans
-// (hssort.Sorter.Plan) can run probe refinement alone; defaults are
-// applied internally (idempotent).
-func DetermineSplitters[K any](c *comm.Comm, local []K, n int64, opt Options[K]) ([]K, int, int64, error) {
-	opt, err := opt.withDefaults(c.Size())
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	base := opt.BaseTag
 	root := 0
 	me := c.Rank()
+	info := core.SplitterInfo{Finalized: true}
 	if opt.Buckets == 1 || n == 0 {
-		return []K{}, 0, 0, nil
+		return []K{}, info, nil
 	}
 
 	var tracker *histogram.Tracker[K]
@@ -391,8 +106,6 @@ func DetermineSplitters[K any](c *comm.Comm, local []K, n int64, opt Options[K])
 		}
 	}
 
-	rounds := 0
-	var totalProbes int64
 	for {
 		// Root synthesizes this round's probes: ProbesPerSplitter
 		// evenly spaced codes inside each live interval. An empty probe
@@ -401,24 +114,25 @@ func DetermineSplitters[K any](c *comm.Comm, local []K, n int64, opt Options[K])
 		if me == root {
 			probes = synthesizeProbes(searches, tracker, opt)
 		}
-		probes, err := collective.Bcast(c, root, base+tagProbes, probes)
+		probes, err := collective.Bcast(c, root, tagProbes, probes)
 		if err != nil {
-			return nil, rounds, totalProbes, err
+			return nil, info, err
 		}
 		if len(probes) == 0 {
 			break
 		}
-		rounds++
-		totalProbes += int64(len(probes))
-		ranks, err := collective.Reduce(c, root, base+tagRanks,
+		info.Rounds++
+		info.SamplePerRound = append(info.SamplePerRound, int64(len(probes)))
+		info.TotalSample += int64(len(probes))
+		ranks, err := collective.Reduce(c, root, tagRanks,
 			histogram.LocalRanks(local, probes, opt.Cmp), collective.SumInt64)
 		if err != nil {
-			return nil, rounds, totalProbes, err
+			return nil, info, err
 		}
 		if me == root {
 			tracker.Update(probes, ranks)
 			narrow(searches, tracker, probes, ranks, opt)
-			if rounds >= opt.MaxRounds {
+			if info.Rounds >= opt.MaxRounds {
 				for i := range searches {
 					searches[i].done = true
 				}
@@ -427,26 +141,34 @@ func DetermineSplitters[K any](c *comm.Comm, local []K, n int64, opt Options[K])
 	}
 
 	var splitters []K
+	var finalized int64
 	if me == root {
 		sp, ok := tracker.Splitters()
 		if !ok {
-			return nil, rounds, totalProbes, fmt.Errorf("histsort: no candidates after %d rounds", rounds)
+			return nil, info, fmt.Errorf("histsort: no candidates after %d rounds", info.Rounds)
 		}
 		slices.SortFunc(sp, opt.Cmp)
 		splitters = sp
+		if tracker.Done() {
+			finalized = 1
+		}
 	}
-	splitters, err = collective.Bcast(c, root, base+tagSplit, splitters)
+	splitters, err = collective.Bcast(c, root, tagSplit, splitters)
 	if err != nil {
-		return nil, rounds, totalProbes, err
+		return nil, info, err
 	}
-	rv, err := collective.Bcast(c, root, base+tagInfo, []int64{int64(rounds), totalProbes})
+	// Every rank saw every probe broadcast, so the round and probe
+	// counts already agree; the root's one private verdict — whether
+	// every splitter met its window — rides with the round count.
+	rv, err := collective.Bcast(c, root, tagInfo, []int64{int64(info.Rounds), finalized})
 	if err != nil {
-		return nil, rounds, totalProbes, err
+		return nil, info, err
 	}
+	info.Finalized = rv[1] == 1
 	// The one-time validation that lets exchange.Partition skip its
 	// per-call O(B) re-check.
 	exchange.ValidateSplitters(splitters, opt.Cmp)
-	return splitters, int(rv[0]), rv[1], nil
+	return splitters, info, nil
 }
 
 // synthesizeProbes emits the next round's probe keys, or nil when every

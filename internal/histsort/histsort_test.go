@@ -2,6 +2,7 @@ package histsort
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -25,7 +26,7 @@ func trySort(shards [][]int64, opt Options[int64]) ([][]int64, core.Stats, error
 	var stats core.Stats
 	w := comm.NewWorld(p, comm.WithTimeout(120*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
-		out, st, err := Sort(c, shards[c.Rank()], opt)
+		out, st, err := core.Run(c, shards[c.Rank()], core.KeyPlane(opt.Cmp, nil), core.Pipeline[int64]{Buckets: opt.Buckets}, opt.Determine)
 		if err != nil {
 			return err
 		}
@@ -135,11 +136,35 @@ func TestHistSortDuplicatesTerminate(t *testing.T) {
 	}
 	opt := baseOpt()
 	opt.MaxRounds = 70
-	outs, _, err := trySort(clone(shards), opt)
+	outs, stats, err := trySort(clone(shards), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGloballySorted(t, shards, outs)
+	// Three values cannot meet four-way windows: the fallback fired, and
+	// the protocol must say so, with one probe count per round.
+	if stats.Rounds == 0 || len(stats.SamplePerRound) != stats.Rounds {
+		t.Errorf("%d rounds reported %d per-round probe counts", stats.Rounds, len(stats.SamplePerRound))
+	}
+	var total int64
+	for _, n := range stats.SamplePerRound {
+		total += n
+	}
+	if total != stats.TotalSample {
+		t.Errorf("per-round probes sum to %d, TotalSample %d", total, stats.TotalSample)
+	}
+	w := comm.NewWorld(p, comm.WithTimeout(60*time.Second))
+	if err := w.Run(func(c *comm.Comm) error {
+		local := slices.Clone(shards[c.Rank()])
+		slices.Sort(local)
+		_, info, err := opt.Determine(c, local, p*300)
+		if err == nil && info.Finalized {
+			err = fmt.Errorf("rank %d: fallback after %d rounds reported Finalized", c.Rank(), info.Rounds)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestHistSortSingleRankAndEmpty(t *testing.T) {

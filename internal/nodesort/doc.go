@@ -12,6 +12,12 @@
 // the node's data assembled in one address space this degenerates to
 // exact quantile splitting, which is what we do.
 //
+// The package supplies two things to the internal/core pipeline driver:
+// a Determiner (Options.Determine, HSS over node-count buckets) and a
+// Route (the combine / leader exchange / within-node scatter) in place
+// of the flat exchange. The driver runs the local sort, plan injection
+// and staleness guard, and partition as for every other sort.
+//
 // Intra-node traffic models shared memory: runs move by reference, so
 // the byte counters see only envelope-sized messages within a node while
 // node-to-node messages carry full key payloads — mirroring where real

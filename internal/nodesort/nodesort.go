@@ -4,32 +4,20 @@ import (
 	"fmt"
 	"time"
 
-	"hssort/internal/codes"
 	"hssort/internal/collective"
 	"hssort/internal/comm"
 	"hssort/internal/core"
 	"hssort/internal/exchange"
 	"hssort/internal/merge"
-	"hssort/internal/par"
-	"hssort/internal/spill"
 )
 
-// Options configures a two-level node sort. Cmp and CoresPerNode are
-// required.
+// Options configures NodeHSS's node-level splitter determination — its
+// Determiner (Options.Determine). NodeHSS also replaces the flat
+// exchange with its two-level Route; everything else is the shared
+// pipeline driver's (core.Run). Cmp and CoresPerNode are required.
 type Options[K any] struct {
 	// Cmp is the three-way key comparator.
 	Cmp func(K, K) int
-	// Code, when set, must be an order-preserving uint64 extractor for
-	// Cmp; the compute hot paths (local sort, partition cuts, the
-	// leaders' combine and node-level merges) then run on the
-	// comparator-free code plane (see core.Options.Code).
-	Code func(K) uint64
-	// PrefixCode marks Code as a non-injective prefix extractor (see
-	// core.Options.PrefixCode): local sorts repair equal-code spans with
-	// the comparator, node-level splitter determination runs in code
-	// space, and the leaders' combine and node-level merges tie-break
-	// equal codes. Requires Code.
-	PrefixCode bool
 	// CoresPerNode is the node width c; the world size must be a
 	// multiple of c.
 	CoresPerNode int
@@ -41,336 +29,137 @@ type Options[K any] struct {
 	Schedule         core.Schedule
 	Seed             uint64
 	OversampleFactor float64
-	// ChunkKeys, when positive, streams the node-to-node exchange in
-	// chunks overlapped with the node-level merge (see
-	// core.Options.ChunkKeys). 0 = materializing exchange.
-	ChunkKeys int
-	// Workers is the size of this rank's compute worker pool (see
-	// core.Options.Workers). <=1 keeps every kernel serial. Leaders use
-	// the pool for the combine and node-level merges as well.
-	Workers int
-	// Splitters, when non-nil, injects pre-determined node-level
-	// splitters — n-1 keys for n nodes, non-decreasing, identical on
-	// every rank — and skips splitter determination (see
-	// core.Options.Splitters).
-	Splitters []K
-	// StaleBound arms the staleness guard for injected Splitters (see
-	// core.Options.StaleBound), measured over node buckets. 0 disables
-	// it.
-	StaleBound float64
-	// Scratch, when non-nil, is this rank's reusable exchange state for
-	// the node-to-node leader exchange (see core.Options.Scratch).
-	Scratch *exchange.Scratch[K]
-	// Spill, when non-nil, is this rank's out-of-core manager (see
-	// core.Options.Spill). nil keeps every phase in memory.
-	Spill *spill.Manager
-	// BaseTag is the start of the tag range (~40 tags). Default 7000.
-	BaseTag comm.Tag
 }
 
-func (o Options[K]) withDefaults(p int) (Options[K], error) {
-	if o.Cmp == nil {
-		return o, fmt.Errorf("nodesort: Options.Cmp is required")
-	}
-	if o.PrefixCode && o.Code == nil {
-		return o, fmt.Errorf("nodesort: PrefixCode requires Code")
-	}
+// Determine is NodeHSS's Determiner: HSS over node-count buckets. All p
+// ranks participate, but only n-1 splitters are sought (§6.1: "data
+// partitioning needs to be only across physical nodes"); the pipeline
+// must run with Buckets = p/CoresPerNode.
+func (o Options[K]) Determine(c *comm.Comm, local []K, n int64) ([]K, core.SplitterInfo, error) {
+	p := c.Size()
 	if o.CoresPerNode < 1 {
-		return o, fmt.Errorf("nodesort: CoresPerNode %d < 1", o.CoresPerNode)
+		return nil, core.SplitterInfo{}, fmt.Errorf("nodesort: CoresPerNode %d < 1", o.CoresPerNode)
 	}
 	if p%o.CoresPerNode != 0 {
-		return o, fmt.Errorf("nodesort: world size %d not a multiple of CoresPerNode %d", p, o.CoresPerNode)
+		return nil, core.SplitterInfo{}, fmt.Errorf("nodesort: world size %d not a multiple of CoresPerNode %d", p, o.CoresPerNode)
 	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 0.02
+	eps := o.Epsilon
+	if eps == 0 {
+		eps = 0.02
 	}
-	if o.Epsilon < 0 {
-		return o, fmt.Errorf("nodesort: Epsilon %v < 0", o.Epsilon)
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.ChunkKeys < 0 {
-		return o, fmt.Errorf("nodesort: ChunkKeys %d < 0", o.ChunkKeys)
-	}
-	if o.StaleBound < 0 {
-		return o, fmt.Errorf("nodesort: StaleBound %v < 0", o.StaleBound)
-	}
-	if o.Splitters != nil && len(o.Splitters) != p/o.CoresPerNode-1 {
-		return o, fmt.Errorf("nodesort: %d injected splitters for %d nodes (want %d)", len(o.Splitters), p/o.CoresPerNode, p/o.CoresPerNode-1)
-	}
-	if o.BaseTag == 0 {
-		o.BaseTag = 7000
-	}
-	return o, nil
+	return core.Options[K]{
+		Cmp:              o.Cmp,
+		Epsilon:          eps,
+		Buckets:          p / o.CoresPerNode,
+		Schedule:         o.Schedule,
+		Seed:             o.Seed,
+		OversampleFactor: o.OversampleFactor,
+	}.Determine(c, local, n)
 }
 
-// Tag offsets within BaseTag.
+// Route tags, within the pipeline's route range.
 const (
-	tagSplitter = 10 // node-level HSS (core.TagSpan tags)
-	tagCombine  = 25 // intra-node run gather
-	tagNodeEx   = 26 // node-to-node exchange
-	tagScatter  = 27 // within-node scatter
-	tagStats    = 28 // stats all-reduce (+1)
-	tagStale    = 30 // staleness-guard node-load all-reduce
+	tagCombine = core.RouteTag     // intra-node run gather
+	tagNodeEx  = core.RouteTag + 1 // node-to-node exchange
+	tagScatter = core.RouteTag + 2 // within-node scatter
 )
 
-// Sort runs the two-level sort and returns this rank's globally sorted
-// partition (rank order = global order). Every rank must call Sort with
-// the same Options. The input is consumed.
-func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, error) {
-	opt, err := opt.withDefaults(c.Size())
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	p := c.Size()
-	me := c.Rank()
-	cores := opt.CoresPerNode
-	nodes := p / cores
-	node := me / cores
-	leaderRank := node * cores
-	isLeader := me == leaderRank
-	base := opt.BaseTag
-	pool := par.New(opt.Workers)
-	var stats core.Stats
-	stats.Buckets = nodes
-	stats.Workers = pool.Workers()
+// Route returns NodeHSS's two-level data movement for nodes of
+// coresPerNode consecutive ranks, in place of the flat exchange: every
+// core hands its per-node runs to its node leader, the leaders combine
+// them and exchange n(n-1) node-to-node messages, and each leader cuts
+// its merged node bucket into exact per-core quantiles and scatters
+// them back. Rank order is global order.
+func Route[K any](coresPerNode int) core.Route[K] {
+	return func(c *comm.Comm, runs [][]K, env core.RouteEnv[K]) (core.Moved[K], error) {
+		var m core.Moved[K]
+		cores := coresPerNode
+		nodes := c.Size() / cores
+		leaderRank := c.Rank() / cores * cores
+		isLeader := c.Rank() == leaderRank
+		pool := env.Stream.Pool
 
-	t0 := time.Now()
-	var localCodes []codes.Code
-	var collisions int64
-	if opt.PrefixCode {
-		// Prefix plane: radix-sort the code decoration, then restore
-		// comparator order within equal-code spans (see
-		// core.Options.PrefixCode). Never budgeted: the root validation
-		// rejects MemoryBudget for variable-length keys.
-		localCodes = codes.SortByCodePar(local, opt.Code, pool)
-		collisions = codes.TieBreakPar(localCodes, local, opt.Cmp, pool)
-	} else {
-		localCodes, err = spill.LocalSort(opt.Spill, local, opt.Code, opt.Cmp, pool)
+		// Build this node's group; node g occupies ranks [g·c, (g+1)·c).
+		members := make([]int, cores)
+		for i := range members {
+			members[i] = leaderRank + i
+		}
+		group, err := collective.NewGroup(c, members)
 		if err != nil {
-			return nil, stats, err
+			return m, err
 		}
-	}
-	localSort := time.Since(t0)
 
-	// Node-level splitter determination: all p ranks participate, but
-	// only n-1 splitters are sought (§6.1: "data partitioning needs to
-	// be only across physical nodes").
-	nVec, err := collective.AllReduce(c, base, []int64{int64(len(local))}, collective.SumInt64)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.N = nVec[0]
-	if stats.N == 0 {
-		// Nothing to move: every rank returns empty, consistently.
-		stats.Imbalance = 1
-		stats.LocalSort = localSort
-		return []K{}, stats, nil
-	}
-	determine := func() ([]K, core.SplitterInfo, error) {
-		return core.DetermineSplitters(c, local, stats.N, core.Options[K]{
-			Cmp:              opt.Cmp,
-			Epsilon:          opt.Epsilon,
-			Buckets:          nodes,
-			Schedule:         opt.Schedule,
-			Seed:             opt.Seed,
-			OversampleFactor: opt.OversampleFactor,
-			BaseTag:          base + tagSplitter,
-		})
-	}
-	// On the prefix plane determination runs in code space over the
-	// sorted code decoration — node-level splitter traffic stays
-	// fixed-size code points regardless of key length — and partition
-	// consumes the splitter codes directly.
-	determineCodes := func() ([]codes.Code, core.SplitterInfo, error) {
-		return core.DetermineSplitters(c, localCodes, stats.N, core.Options[codes.Code]{
-			Cmp:              codes.Compare,
-			Code:             codes.ExtractCode,
-			Epsilon:          opt.Epsilon,
-			Buckets:          nodes,
-			Schedule:         opt.Schedule,
-			Seed:             opt.Seed,
-			OversampleFactor: opt.OversampleFactor,
-			BaseTag:          base + tagSplitter,
-		})
-	}
-	bytes0 := c.Counters().BytesSent
-	t1 := time.Now()
-	splitters := opt.Splitters
-	var spCodes []codes.Code
-	var info core.SplitterInfo
-	switch {
-	case opt.PrefixCode && splitters != nil:
-		spCodes = codes.Extract(splitters, opt.Code)
-		exchange.ValidateSplitters(spCodes, codes.Compare)
-	case opt.PrefixCode:
-		spCodes, info, err = determineCodes()
+		// Message combining (§6.1): every core hands its n partitioned
+		// runs to the node leader by reference (shared memory), so the
+		// network sees nothing yet.
+		t0 := time.Now()
+		b0 := c.Counters().BytesSent
+		gathered, err := collective.Gatherv(group, 0, tagCombine, runs)
 		if err != nil {
-			return nil, stats, err
+			return m, err
 		}
-		stats.Rounds = info.Rounds
-		stats.SamplePerRound = info.SamplePerRound
-		stats.TotalSample = info.TotalSample
-	case splitters != nil:
-		exchange.ValidateSplitters(splitters, opt.Cmp)
-	default:
-		splitters, info, err = determine()
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Rounds = info.Rounds
-		stats.SamplePerRound = info.SamplePerRound
-		stats.TotalSample = info.TotalSample
-	}
-	splitterTime := time.Since(t1)
-	splitterBytes := c.Counters().BytesSent - bytes0
 
-	// Build this node's group; node g occupies ranks [g·c, (g+1)·c).
-	members := make([]int, cores)
-	for i := range members {
-		members[i] = leaderRank + i
-	}
-	group, err := collective.NewGroup(c, members)
-	if err != nil {
-		return nil, stats, err
-	}
-
-	// Message combining (§6.1): every core hands its n partitioned runs
-	// to the node leader by reference (shared memory), so the network
-	// sees nothing yet.
-	partition := func(sp []K, spc []codes.Code) [][]K {
-		if opt.PrefixCode {
-			return exchange.PartitionByCodePar(local, localCodes, spc, pool)
-		}
-		if localCodes != nil {
-			return exchange.PartitionByCodePar(local, localCodes, codes.Extract(sp, opt.Code), pool)
-		}
-		return exchange.PartitionPar(local, sp, opt.Cmp, pool)
-	}
-	runs := partition(splitters, spCodes)
-
-	// Staleness guard for injected node-level splitters: all p ranks
-	// all-reduce the node-bucket loads; a stale plan re-histograms. The
-	// guard and any replan are splitter-determination work.
-	if opt.Splitters != nil && opt.StaleBound > 0 {
-		t1g := time.Now()
-		imb, _, err := exchange.RunsImbalance(c, base+tagStale, runs)
-		if err != nil {
-			return nil, stats, err
-		}
-		if imb > opt.StaleBound {
-			stats.Replanned = true
-			var info core.SplitterInfo
-			if opt.PrefixCode {
-				spCodes, info, err = determineCodes()
-			} else {
-				splitters, info, err = determine()
+		// Node-to-node exchange: leaders merge their cores' runs per
+		// destination node and exchange n(n-1) combined messages —
+		// materialized, or streamed in chunks overlapped with the
+		// node-level merge when the pipeline streams. The combine and
+		// node-level merges tie-break equal codes on the prefix plane.
+		var node core.Moved[K]
+		if isLeader {
+			var tie func(K, K) int
+			if env.Stream.Tie {
+				tie = env.Cmp
 			}
+			combined := make([][]K, nodes)
+			for dst := range combined {
+				perCore := make([][]K, 0, cores)
+				for _, coreRuns := range gathered {
+					if dst < len(coreRuns) { // empty input determines no splitters: one run
+						perCore = append(perCore, coreRuns[dst])
+					}
+				}
+				switch {
+				case env.Code != nil && pool.Workers() > 1:
+					combined[dst] = merge.ParMergeByCodeTie(nil, perCore, env.Code, tie, pool)
+				case env.Code != nil:
+					combined[dst] = merge.KWayByCodeTie(perCore, env.Code, tie)
+				case pool.Workers() > 1:
+					combined[dst] = merge.ParMerge(nil, perCore, env.Cmp, pool)
+				default:
+					combined[dst] = merge.KWay(perCore, env.Cmp)
+				}
+			}
+			leaders := make([]int, nodes)
+			for g := range leaders {
+				leaders[g] = g * cores
+			}
+			leaderGroup, err := collective.NewGroup(c, leaders)
 			if err != nil {
-				return nil, stats, err
+				return m, err
 			}
-			stats.Rounds = info.Rounds
-			stats.SamplePerRound = info.SamplePerRound
-			stats.TotalSample = info.TotalSample
-			runs = partition(splitters, spCodes)
-		}
-		splitterTime += time.Since(t1g)
-		splitterBytes = c.Counters().BytesSent - bytes0
-	}
-
-	bytes1 := c.Counters().BytesSent
-	t2 := time.Now()
-	gathered, err := collective.Gatherv(group, 0, base+tagCombine, runs)
-	if err != nil {
-		return nil, stats, err
-	}
-
-	// Node-to-node exchange: leaders merge their cores' runs per
-	// destination node and exchange n(n-1) combined messages —
-	// materialized, or streamed in chunks overlapped with the node-level
-	// merge when Options.ChunkKeys is set.
-	var nodeData []K
-	var nodeMergeTime time.Duration
-	var sst exchange.StreamStats
-	if isLeader {
-		// Prefix plane: the combine and node-level merges resolve
-		// equal-code matches with the comparator.
-		var tie func(K, K) int
-		if opt.PrefixCode {
-			tie = opt.Cmp
-		}
-		combined := make([][]K, nodes)
-		for dst := 0; dst < nodes; dst++ {
-			perCore := make([][]K, 0, cores)
-			for _, coreRuns := range gathered {
-				perCore = append(perCore, coreRuns[dst])
-			}
-			if opt.Code != nil && pool.Workers() > 1 {
-				combined[dst] = merge.ParMergeByCodeTie(nil, perCore, opt.Code, tie, pool)
-			} else if opt.Code != nil {
-				combined[dst] = merge.KWayByCodeTie(perCore, opt.Code, tie)
-			} else if pool.Workers() > 1 {
-				combined[dst] = merge.ParMerge(nil, perCore, opt.Cmp, pool)
-			} else {
-				combined[dst] = merge.KWay(perCore, opt.Cmp)
+			node, err = env.ExchangeMerge(leaderGroup, tagNodeEx, combined, exchange.ContiguousOwner(nodes, nodes))
+			if err != nil {
+				return m, err
 			}
 		}
-		var leaders []int
-		for g := 0; g < nodes; g++ {
-			leaders = append(leaders, g*cores)
-		}
-		leaderGroup, err := collective.NewGroup(c, leaders)
-		if err != nil {
-			return nil, stats, err
-		}
-		nodeData, _, nodeMergeTime, sst, err = exchange.ExchangeMerge(
-			leaderGroup, base+tagNodeEx, combined, exchange.ContiguousOwner(nodes, nodes), opt.Cmp, opt.Code,
-			exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: pool, Tie: opt.PrefixCode, Spill: opt.Spill}, opt.Scratch)
-		if err != nil {
-			return nil, stats, err
-		}
-	}
-	exchangeTime := time.Since(t2) - nodeMergeTime
-	exchangeBytes := c.Counters().BytesSent - bytes1
+		m.Exchange = time.Since(t0) - node.Merge
+		m.ExchangeBytes = c.Counters().BytesSent - b0
+		m.Stream = node.Stream
 
-	// Final within-node sorting (§6.1): the leader has its node's bucket
-	// assembled, cuts exact per-core quantiles (the shared-memory limit
-	// of regular sampling), and scatters the pieces back to its cores.
-	t3 := time.Now()
-	var parts [][]K
-	if isLeader {
-		parts = make([][]K, cores)
-		for i := 0; i < cores; i++ {
-			lo := i * len(nodeData) / cores
-			hi := (i + 1) * len(nodeData) / cores
-			parts[i] = nodeData[lo:hi]
+		// Final within-node sorting (§6.1): the leader has its node's
+		// bucket assembled, cuts exact per-core quantiles (the
+		// shared-memory limit of regular sampling), and scatters the
+		// pieces back to its cores.
+		t1 := time.Now()
+		var parts [][]K
+		if isLeader {
+			parts = make([][]K, cores)
+			for i := range parts {
+				parts[i] = node.Out[i*len(node.Out)/cores : (i+1)*len(node.Out)/cores]
+			}
 		}
+		m.Out, err = collective.Scatterv(group, 0, tagScatter, parts)
+		m.Merge = node.Merge + time.Since(t1)
+		return m, err
 	}
-	out, err := collective.Scatterv(group, 0, base+tagScatter, parts)
-	if err != nil {
-		return nil, stats, err
-	}
-	mergeTime := nodeMergeTime + time.Since(t3)
-	stats.LocalCount = len(out)
-
-	pc := pool.Counters()
-	if err := core.FinishStats(c, base+tagStats, &stats, core.PhaseTimes{
-		SplitterBytes:    splitterBytes,
-		ExchangeBytes:    exchangeBytes,
-		LocalSort:        localSort,
-		Splitter:         splitterTime,
-		Exchange:         exchangeTime,
-		Merge:            mergeTime,
-		Overlap:          sst.Overlap,
-		PeakInFlight:     sst.PeakInFlight,
-		OutCount:         len(out),
-		ParSpawned:       pc.Spawned,
-		ParTasks:         pc.Tasks,
-		PrefixCollisions: collisions,
-		Spill:            opt.Spill.TakeStats(),
-	}); err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
 }

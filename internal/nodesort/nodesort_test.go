@@ -20,7 +20,7 @@ func trySort(shards [][]int64, opt Options[int64]) ([][]int64, core.Stats, *comm
 	var stats core.Stats
 	w := comm.NewWorld(p, comm.WithTimeout(60*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
-		out, st, err := Sort(c, shards[c.Rank()], opt)
+		out, st, err := sortNode(c, shards[c.Rank()], opt)
 		if err != nil {
 			return err
 		}
@@ -31,6 +31,17 @@ func trySort(shards [][]int64, opt Options[int64]) ([][]int64, core.Stats, *comm
 		return nil
 	})
 	return outs, stats, w, err
+}
+
+// sortNode runs NodeHSS through the pipeline driver on the comparator
+// plane: node-count buckets, the node-level determiner and the
+// two-level route.
+func sortNode(c *comm.Comm, local []int64, opt Options[int64]) ([]int64, core.Stats, error) {
+	pipe := core.Pipeline[int64]{Route: Route[int64](opt.CoresPerNode)}
+	if opt.CoresPerNode > 0 {
+		pipe.Buckets = c.Size() / opt.CoresPerNode
+	}
+	return core.Run(c, local, core.KeyPlane(opt.Cmp, nil), pipe, opt.Determine)
 }
 
 func clone(shards [][]int64) [][]int64 {
@@ -108,7 +119,8 @@ func TestNodeSortReducesMessages(t *testing.T) {
 		var stats core.Stats
 		w := comm.NewWorld(p, comm.WithTimeout(60*time.Second))
 		err := w.Run(func(cc *comm.Comm) error {
-			out, st, err := core.Sort(cc, shards[cc.Rank()], core.Options[int64]{Cmp: icmp, Epsilon: 0.05})
+			opt := core.Options[int64]{Cmp: icmp, Epsilon: 0.05}
+			out, st, err := core.Run(cc, shards[cc.Rank()], core.KeyPlane(icmp, nil), core.Pipeline[int64]{}, opt.Determine)
 			outs[cc.Rank()] = out
 			if cc.Rank() == 0 {
 				stats = st

@@ -25,7 +25,7 @@ type Options[K any] struct {
 	// Code, when set, must be an order-preserving uint64 extractor
 	// agreeing with Coder.Encode; the local sort, digit counting,
 	// partition cuts and final merge then run on the comparator-free
-	// code plane (see core.Options.Code).
+	// code plane (see core.KeyPlane).
 	Code func(K) uint64
 	// Bits is the digit width: 2^Bits buckets. Default 12 (4096
 	// buckets). Must be in [1, 24].

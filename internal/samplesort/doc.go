@@ -7,7 +7,9 @@
 //   - Random sampling (Blelloch et al., §4.1.1): one random key per block,
 //     s = Θ(log N/ε²) per processor for the same guarantee w.h.p.
 //
-// The data-movement phase is identical to HSS (the paper's point of
-// comparison is purely the splitter-determination cost), so both reuse
-// internal/exchange and report core.Stats.
+// The package supplies only sample sort's Determiner (Options.Determine):
+// the sampling phase. Everything else — local sort, partition, exchange,
+// merge, plan injection — is the internal/core pipeline driver's, so the
+// data movement is identical to HSS's by construction (the paper's point
+// of comparison is purely the splitter-determination cost).
 package samplesort

@@ -32,7 +32,7 @@ func trySort(shards [][]int64, opt Options[int64]) ([][]int64, Stats, error) {
 	var stats Stats
 	w := comm.NewWorld(p, comm.WithTimeout(60*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
-		out, st, err := Sort(c, shards[c.Rank()], opt)
+		out, st, err := core.Run(c, shards[c.Rank()], core.KeyPlane(opt.Cmp, nil), core.Pipeline[int64]{Buckets: opt.Buckets}, opt.Determine)
 		if err != nil {
 			return err
 		}

@@ -59,6 +59,11 @@ func TestWrapUnwrapRoundTrip(t *testing.T) {
 	}
 }
 
+// sortHSS runs an HSS sort of tagged keys on the comparator plane.
+func sortHSS(c *comm.Comm, local []Tagged[int64], opt core.Options[Tagged[int64]]) ([]Tagged[int64], core.Stats, error) {
+	return core.Run(c, local, core.KeyPlane(opt.Cmp, nil), core.Pipeline[Tagged[int64]]{}, opt.Determine)
+}
+
 // TestDuplicatesWithTaggingBalances is the §4.3 payoff: an all-duplicates
 // input that defeats plain HSS load balance sorts with (1+ε) balance once
 // tagged.
@@ -76,7 +81,7 @@ func TestDuplicatesWithTaggingBalances(t *testing.T) {
 	w := comm.NewWorld(p, comm.WithTimeout(60*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
 		tagged := Wrap(shards[c.Rank()], c.Rank())
-		out, st, err := core.Sort(c, tagged, core.Options[Tagged[int64]]{
+		out, st, err := sortHSS(c, tagged, core.Options[Tagged[int64]]{
 			Cmp: Cmp(icmp), Epsilon: 0.1, Seed: 3,
 		})
 		if err != nil {
@@ -128,7 +133,7 @@ func TestTaggedSortPreservesPerKeyCounts(t *testing.T) {
 		w := comm.NewWorld(p, comm.WithTimeout(30*time.Second))
 		var outs [p][]int64
 		err := w.Run(func(c *comm.Comm) error {
-			out, _, err := core.Sort(c, Wrap(shards[c.Rank()], c.Rank()), core.Options[Tagged[int64]]{
+			out, _, err := sortHSS(c, Wrap(shards[c.Rank()], c.Rank()), core.Options[Tagged[int64]]{
 				Cmp: Cmp(icmp), Epsilon: 0.2, Seed: uint64(seed) + 1,
 			})
 			outs[c.Rank()] = Unwrap(out)

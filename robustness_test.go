@@ -252,6 +252,36 @@ func TestPeerCrashMidExchange(t *testing.T) {
 	}
 }
 
+// TestChaosCrashPhaseAllAlgorithms: CrashPhase must fire for every
+// splitter-based algorithm, not just the HSS variants — each one runs
+// the shared pipeline's tag layout, so a crash at the first splitter or
+// exchange send of the victim fails the sort with a *PeerCrashError
+// naming it.
+func TestChaosCrashPhaseAllAlgorithms(t *testing.T) {
+	const p, perRank, victim = 4, 400, 1
+	for _, alg := range characterizationAlgs {
+		for _, phase := range []string{"splitter", "exchange"} {
+			t.Run(fmt.Sprintf("%v/%s", alg, phase), func(t *testing.T) {
+				cfg := Config{
+					Procs: p, Algorithm: alg, Epsilon: 0.05, Seed: 3,
+					Chaos: &ChaosConfig{Seed: 7, CrashRank: victim, CrashPhase: phase},
+				}
+				if alg == NodeHSS {
+					cfg.CoresPerNode = 2
+				}
+				_, _, err := Sort(cfg, chaosShards(p, perRank))
+				var crash *PeerCrashError
+				if !errors.As(err, &crash) {
+					t.Fatalf("crash at %s returned %v, want a *PeerCrashError", phase, err)
+				}
+				if crash.Rank != victim {
+					t.Errorf("PeerCrashError names rank %d, want %d", crash.Rank, victim)
+				}
+			})
+		}
+	}
+}
+
 // TestRejoinThenSort: after a mid-sort crash, respawning the victim
 // rank heals the same engine — the next Sort completes and is
 // rank-identical to the sim oracle (the lost rank's shard re-executes

@@ -11,11 +11,9 @@ import (
 
 	"hssort/internal/bitonic"
 	"hssort/internal/codes"
-	"hssort/internal/collective"
 	"hssort/internal/comm"
 	"hssort/internal/core"
 	"hssort/internal/exchange"
-	"hssort/internal/histogram"
 	"hssort/internal/histsort"
 	"hssort/internal/keycoder"
 	"hssort/internal/nodesort"
@@ -170,9 +168,7 @@ func newSorter[K any](cfg Config, compare func(K, K) int, builtin keycoder.Coder
 		return nil, fmt.Errorf("hssort: SpillDir is set but MemoryBudget is 0 (the out-of-core plane is off)")
 	}
 	if cfg.MemoryBudget > 0 {
-		switch cfg.Algorithm {
-		case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, HistogramSort, NodeHSS:
-		default:
+		if !splitterBased(cfg.Algorithm) {
 			return nil, fmt.Errorf("hssort: MemoryBudget is not supported by %v", cfg.Algorithm)
 		}
 		if cfg.TagDuplicates {
@@ -316,7 +312,7 @@ func (s *Sorter[K]) sort(ctx context.Context, plan *Plan[K], shards [][]K) ([][]
 	if !useRecord && !usePrefix {
 		code = nil
 	}
-	return runEngine(ctx, s, plan, shards, s.compare, s.coder, code, usePrefix, scratchPlain)
+	return runEngine(ctx, s, plan, shards, s.compare, s.coder, code, usePrefix)
 }
 
 // resolvePlanes picks the per-call compute plane, demoting CodePathAuto
@@ -350,7 +346,7 @@ func (s *Sorter[K]) checkPlan(plan *Plan[K]) error {
 	if s.cfg.TagDuplicates {
 		return fmt.Errorf("hssort: splitter plans are not supported with TagDuplicates")
 	}
-	if !planCapable(s.cfg.Algorithm) {
+	if !splitterBased(s.cfg.Algorithm) {
 		return fmt.Errorf("hssort: %v is not splitter-based; plans do not apply", s.cfg.Algorithm)
 	}
 	if plan.procs == 0 {
@@ -359,7 +355,7 @@ func (s *Sorter[K]) checkPlan(plan *Plan[K]) error {
 	if plan.procs != s.cfg.Procs {
 		return fmt.Errorf("hssort: plan prepared for %d procs, engine has %d", plan.procs, s.cfg.Procs)
 	}
-	if want := s.effectiveBuckets(); plan.Buckets != want {
+	if want := bucketsOf(s.cfg); plan.Buckets != want {
 		return fmt.Errorf("hssort: plan prepared for %d buckets, engine partitions into %d", plan.Buckets, want)
 	}
 	if len(plan.Splitters) != plan.Buckets-1 {
@@ -373,57 +369,45 @@ func (s *Sorter[K]) checkPlan(plan *Plan[K]) error {
 	return nil
 }
 
-// effectiveBuckets is the number of output ranges the engine's
-// configuration partitions into: Buckets (default Procs), or the node
-// count for NodeHSS.
-func (s *Sorter[K]) effectiveBuckets() int {
-	if s.cfg.Algorithm == NodeHSS {
-		return s.cfg.Procs / s.cfg.CoresPerNode
+// bucketsOf is the number of output ranges a configuration partitions
+// into: Buckets (default Procs), or the node count for NodeHSS.
+func bucketsOf(cfg Config) int {
+	if cfg.Algorithm == NodeHSS {
+		return cfg.Procs / cfg.CoresPerNode
 	}
-	if s.cfg.Buckets != 0 {
-		return s.cfg.Buckets
+	if cfg.Buckets != 0 {
+		return cfg.Buckets
 	}
-	return s.cfg.Procs
+	return cfg.Procs
 }
 
-// planCapable reports whether the algorithm determines splitters — the
-// precondition for Plan and SortWithPlan.
-func planCapable(a Algorithm) bool {
-	switch a {
-	case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, HistogramSort, NodeHSS:
-		return true
+// startPipeline starts rank r's pipeline options for one sort call:
+// the plan-reuse state (injected splitters and the staleness bound) and
+// the rank's spill manager. dispatch completes them from the Config.
+func startPipeline[K, E any](s *Sorter[K], plan *Plan[E], r int) core.Pipeline[E] {
+	pipe := core.Pipeline[E]{Spill: s.spillFor(r)}
+	if plan != nil {
+		pipe.Splitters = plan.Splitters
+		pipe.StaleBound = s.cfg.PlanStaleness
 	}
-	return false
+	return pipe
 }
-
-// scratchMode selects which per-rank scratch slot an engine run uses.
-type scratchMode int
-
-const (
-	scratchNone  scratchMode = iota // tagged plane: element type differs per call
-	scratchPlain                    // comparator/decorated plane (element type K)
-)
 
 // runEngine executes one sort over the engine's worker pool: the
 // generic core shared by the comparator, decorated and (via sortCoded)
 // bijective planes. E is the element type actually sorted.
-func runEngine[K, E any](ctx context.Context, s *Sorter[K], plan *Plan[E], shards [][]E, compare func(E, E) int, coder keycoder.Coder[E], code func(E) uint64, prefix bool, mode scratchMode) ([][]E, Stats, error) {
+func runEngine[K, E any](ctx context.Context, s *Sorter[K], plan *Plan[E], shards [][]E, compare func(E, E) int, coder keycoder.Coder[E], code func(E) uint64, prefix bool) ([][]E, Stats, error) {
 	p := s.cfg.Procs
 	outs := make([][]E, p)
 	var stats Stats
 	err := s.pool.Run(ctx, func(c *comm.Comm) error {
-		inj := injection[E]{}
-		if plan != nil {
-			inj.splitters = plan.Splitters
-			inj.stale = s.cfg.PlanStaleness
+		pipe := startPipeline(s, plan, c.Rank())
+		// The engine's scratch holds element type K; the tagged plane's
+		// per-call record type runs without it.
+		if sc, ok := any(&s.scratch[c.Rank()].exch).(*exchange.Scratch[E]); ok {
+			pipe.Scratch = sc
 		}
-		if mode == scratchPlain {
-			if sc, ok := any(&s.scratch[c.Rank()].exch).(*exchange.Scratch[E]); ok {
-				inj.scratch = sc
-			}
-		}
-		inj.spill = s.spillFor(c.Rank())
-		out, st, err := dispatch(c, shards[c.Rank()], s.cfg, compare, coder, code, prefix, inj)
+		out, st, err := dispatch(c, shards[c.Rank()], s.cfg, compare, coder, code, prefix, pipe)
 		if err != nil {
 			return err
 		}
@@ -507,12 +491,9 @@ func (s *Sorter[K]) sortCoded(ctx context.Context, plan *Plan[K], shards [][]K) 
 		t0 := time.Now()
 		sc.enc = codes.EncodeIntoPar(s.coder, shards[r], sc.enc, cp)
 		encTime[r] = time.Since(t0)
-		inj := injection[codes.Code]{scratch: &sc.exchCode, spill: s.spillFor(r)}
-		if codePlan != nil {
-			inj.splitters = codePlan.Splitters
-			inj.stale = s.cfg.PlanStaleness
-		}
-		out, st, err := dispatch(c, sc.enc, s.cfg, codes.Compare, keycoder.Coder[codes.Code](codes.Identity{}), codes.ExtractCode, false, inj)
+		pipe := startPipeline(s, codePlan, r)
+		pipe.Scratch = &sc.exchCode
+		out, st, err := dispatch(c, sc.enc, s.cfg, codes.Compare, keycoder.Coder[codes.Code](codes.Identity{}), codes.ExtractCode, false, pipe)
 		if err != nil {
 			return err
 		}
@@ -551,7 +532,7 @@ func (s *Sorter[K]) sortTagged(ctx context.Context, shards [][]K) ([][]K, Stats,
 	for r, sh := range shards {
 		tagged[r] = tagging.Wrap(sh, r)
 	}
-	outs, stats, err := runEngine(ctx, s, nil, tagged, tagging.Cmp(s.compare), nil, nil, false, scratchNone)
+	outs, stats, err := runEngine(ctx, s, nil, tagged, tagging.Cmp(s.compare), nil, nil, false)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -588,7 +569,7 @@ func (s *Sorter[K]) Plan(ctx context.Context, shards [][]K) (*Plan[K], error) {
 	if s.cfg.TagDuplicates {
 		return nil, fmt.Errorf("hssort: splitter plans are not supported with TagDuplicates")
 	}
-	if !planCapable(s.cfg.Algorithm) {
+	if !splitterBased(s.cfg.Algorithm) {
 		return nil, fmt.Errorf("hssort: %v is not splitter-based; plans do not apply", s.cfg.Algorithm)
 	}
 	empty := true
@@ -604,42 +585,43 @@ func (s *Sorter[K]) Plan(ctx context.Context, shards [][]K) (*Plan[K], error) {
 		// training time, not in the operation phase.
 		return nil, fmt.Errorf("hssort: cannot plan on empty input")
 	}
-	useBijective, _, usePrefix, err := s.resolvePlanes(shards, nil)
+	useBijective, useRecord, usePrefix, err := s.resolvePlanes(shards, nil)
 	if err != nil {
 		return nil, err
 	}
-	if useBijective {
-		res, err := runPlan(ctx, s, shards, codes.Compare, keycoder.Coder[codes.Code](codes.Identity{}),
+	// Each branch runs the front half on the plane the equivalent sort
+	// runs, over a copy of the shards.
+	switch {
+	case useBijective:
+		res, err := runPlan(ctx, s, core.KeyPlane(codes.Compare, codes.ExtractCode),
+			codes.Compare, keycoder.Coder[codes.Code](codes.Identity{}),
 			func(r int) []codes.Code { return codes.EncodeSlice(s.coder, shards[r]) })
 		if err != nil {
 			return nil, err
 		}
-		plan := assemblePlan[K](s, res)
-		plan.Splitters = codes.DecodeSlice(s.coder, res.splitters)
-		return plan, nil
-	}
-	if usePrefix {
-		// Prefix plane: determination runs entirely in code space (as the
-		// prefix sorts do), and the splitter codes materialize as their
+		return assemblePlan(s, res, codes.DecodeSlice(s.coder, res.Splitters)), nil
+	case usePrefix:
+		// Prefix plane: the splitter codes materialize as their
 		// canonical 8-byte big-endian representatives — re-extraction at
 		// injection time (SortWithPlan) recovers exactly these codes.
-		res, err := runPlan(ctx, s, shards, codes.Compare, keycoder.Coder[codes.Code](codes.Identity{}),
-			func(r int) []codes.Code { return codes.Extract(shards[r], s.code) })
+		res, err := runPlan(ctx, s, core.PrefixPlane(s.compare, s.code),
+			codes.Compare, keycoder.Coder[codes.Code](codes.Identity{}),
+			func(r int) []K { return slices.Clone(shards[r]) })
 		if err != nil {
 			return nil, err
 		}
-		plan := assemblePlan[K](s, res)
-		plan.Splitters = prefixSplitters[K](res.splitters)
-		return plan, nil
+		return assemblePlan(s, res, prefixSplitters[K](res.Splitters)), nil
 	}
-	res, err := runPlan(ctx, s, shards, s.compare, s.coder,
+	var code func(K) uint64
+	if useRecord {
+		code = s.code
+	}
+	res, err := runPlan(ctx, s, core.KeyPlane(s.compare, code), s.compare, s.coder,
 		func(r int) []K { return slices.Clone(shards[r]) })
 	if err != nil {
 		return nil, err
 	}
-	plan := assemblePlan[K](s, res)
-	plan.Splitters = res.splitters
-	return plan, nil
+	return assemblePlan(s, res, res.Splitters), nil
 }
 
 // Plan is a finalized splitter plan: the output of splitter
@@ -691,28 +673,9 @@ func prefixSplitters[K any](sp []codes.Code) []K {
 	return out
 }
 
-// planResult carries one plan run's outcome out of the worker world.
-type planResult[E any] struct {
-	splitters      []E
-	n              int64
-	rounds         int
-	samplePerRound []int64
-	totalSample    int64
-	finalized      bool
-	achieved       float64
-}
-
-// Plan-run tags, outside every algorithm's default BaseTag range (each
-// pool run starts from a clean transport, but keeping them disjoint
-// from the determination tags keeps the protocol readable).
-const (
-	planTagCount = 900 // global N all-reduce (+1)
-	planTagRanks = 910 // achieved-ε histogram all-reduce (+1)
-)
-
-// assemblePlan copies the run outcome into the public Plan shape
-// (Splitters are filled by the caller, which knows the plane).
-func assemblePlan[K any, E any](s *Sorter[K], res planResult[E]) *Plan[K] {
+// assemblePlan copies a plan run's outcome into the public Plan shape;
+// splitters are the outcome's splitters mapped back to keys.
+func assemblePlan[K, E any](s *Sorter[K], res core.PlanResult[E], splitters []K) *Plan[K] {
 	eps := s.cfg.Epsilon
 	if eps == 0 {
 		if s.cfg.Algorithm == NodeHSS {
@@ -722,201 +685,98 @@ func assemblePlan[K any, E any](s *Sorter[K], res planResult[E]) *Plan[K] {
 		}
 	}
 	return &Plan[K]{
-		Buckets:         s.effectiveBuckets(),
-		N:               res.n,
-		Rounds:          res.rounds,
-		SamplePerRound:  res.samplePerRound,
-		TotalSample:     res.totalSample,
-		Finalized:       res.finalized,
+		Splitters:       splitters,
+		Buckets:         bucketsOf(s.cfg),
+		N:               res.N,
+		Rounds:          res.Info.Rounds,
+		SamplePerRound:  res.Info.SamplePerRound,
+		TotalSample:     res.Info.TotalSample,
+		Finalized:       res.Info.Finalized,
 		Epsilon:         eps,
-		AchievedEpsilon: res.achieved,
+		AchievedEpsilon: res.AchievedEpsilon,
 		procs:           s.cfg.Procs,
 		alg:             s.cfg.Algorithm,
 	}
 }
 
-// runPlan executes the splitter-determination-only pipeline over the
-// engine's worker pool. localOf materializes rank r's working copy
-// (cloned or encoded — Plan never consumes the caller's shards).
-func runPlan[K, E any](ctx context.Context, s *Sorter[K], shards [][]K, compare func(E, E) int, coder keycoder.Coder[E], localOf func(r int) []E) (planResult[E], error) {
-	cfg := s.cfg
-	var res planResult[E]
-	err := s.pool.Run(ctx, func(c *comm.Comm) error {
-		r := c.Rank()
-		local := localOf(r)
-		slices.SortFunc(local, compare)
-
-		nVec, err := collective.AllReduce(c, planTagCount, []int64{int64(len(local))}, collective.SumInt64)
-		if err != nil {
-			return err
+// runPlan runs core.Plan — the sort's front half with the configured
+// algorithm's determiner — over the engine's worker pool. localOf
+// materializes rank r's working copy (cloned or encoded — Plan never
+// consumes the caller's shards), and the plan never spills.
+func runPlan[K, P, E any](ctx context.Context, s *Sorter[K], plane core.Plane[P, E], compare func(E, E) int, coder keycoder.Coder[E], localOf func(r int) []P) (core.PlanResult[E], error) {
+	det, err := determiner(s.cfg, compare, coder)
+	if err != nil {
+		return core.PlanResult[E]{}, err
+	}
+	var res core.PlanResult[E]
+	err = s.pool.Run(ctx, func(c *comm.Comm) error {
+		out, err := core.Plan(c, localOf(c.Rank()), plane, s.cfg.Workers, det)
+		if c.Rank() == 0 {
+			res = out
 		}
-		n := nVec[0]
-
-		var sp []E
-		rounds, finalized := 0, true
-		var samplePerRound []int64
-		var totalSample int64
-		switch cfg.Algorithm {
-		case HSS, HSSOneRound, HSSTheoretical, NodeHSS:
-			opts := hssDetOptions(cfg, compare)
-			if cfg.Algorithm == NodeHSS {
-				opts = nodeDetOptions(cfg, compare)
-			}
-			var info core.SplitterInfo
-			sp, info, err = core.DetermineSplitters(c, local, n, opts)
-			if err != nil {
-				return err
-			}
-			rounds = info.Rounds
-			samplePerRound = info.SamplePerRound
-			totalSample = info.TotalSample
-			finalized = info.Finalized
-		case SampleSortRegular, SampleSortRandom:
-			var size int64
-			sp, size, err = samplesort.DetermineSplitters(c, local, n, samplesortDetOptions(cfg, compare))
-			if err != nil {
-				return err
-			}
-			rounds = 1
-			samplePerRound = []int64{size}
-			totalSample = size
-		case HistogramSort:
-			var probes int64
-			sp, rounds, probes, err = histsort.DetermineSplitters(c, local, n, histsortDetOptions(cfg, compare, coder))
-			if err != nil {
-				return err
-			}
-			totalSample = probes
-		default:
-			return fmt.Errorf("hssort: %v is not splitter-based; plans do not apply", cfg.Algorithm)
-		}
-
-		// Measure the plan's exact quality on the planning data: one
-		// more histogram round over the final splitters yields the
-		// global bucket loads, hence the achieved ε.
-		ranks := histogram.LocalRanks(local, sp, compare)
-		global, err := collective.AllReduce(c, planTagRanks, ranks, collective.SumInt64)
-		if err != nil {
-			return err
-		}
-		if r == 0 {
-			buckets := len(sp) + 1
-			var maxLoad, prev int64
-			for _, rk := range global {
-				maxLoad = max(maxLoad, rk-prev)
-				prev = rk
-			}
-			maxLoad = max(maxLoad, n-prev)
-			achieved := 0.0
-			if n > 0 {
-				achieved = float64(maxLoad)*float64(buckets)/float64(n) - 1
-			}
-			res = planResult[E]{
-				splitters:      sp,
-				n:              n,
-				rounds:         rounds,
-				samplePerRound: samplePerRound,
-				totalSample:    totalSample,
-				finalized:      finalized,
-				achieved:       achieved,
-			}
-		}
-		return nil
+		return err
 	})
 	if err != nil {
-		return planResult[E]{}, ctxErr(ctx, err)
+		return core.PlanResult[E]{}, ctxErr(ctx, err)
 	}
 	return res, nil
 }
 
-// The *DetOptions builders are the single source of the
-// determination-relevant option wiring, shared by dispatch (full sorts)
-// and runPlan (plan-only runs): the Plan API's core invariant — the
-// splitters a Plan determines are exactly the ones the equivalent Sort
-// would have determined — holds because both paths build these options
-// through the same functions.
-
-// hssDetOptions wires Config into the HSS-variant splitter
-// determination options.
-func hssDetOptions[E any](cfg Config, compare func(E, E) int) core.Options[E] {
-	sched := core.FixedOversampling
+// determiner builds the configured algorithm's splitter determiner over
+// the determination view's element type E — the single source of the
+// Config-to-determination wiring, shared by full sorts (dispatch) and
+// plan runs (runPlan), so the splitters a Plan determines are exactly
+// the ones the equivalent Sort determines.
+func determiner[E any](cfg Config, compare func(E, E) int, coder keycoder.Coder[E]) (core.Determiner[E], error) {
+	buckets := bucketsOf(cfg)
 	switch cfg.Algorithm {
-	case HSSOneRound:
-		sched = core.OneRoundScanning
-	case HSSTheoretical:
-		sched = core.Theoretical
+	case HSS, HSSOneRound, HSSTheoretical:
+		sched := core.FixedOversampling
+		switch cfg.Algorithm {
+		case HSSOneRound:
+			sched = core.OneRoundScanning
+		case HSSTheoretical:
+			sched = core.Theoretical
+		}
+		return core.Options[E]{
+			Cmp:              compare,
+			Epsilon:          cfg.Epsilon,
+			Buckets:          buckets,
+			Schedule:         sched,
+			Rounds:           cfg.Rounds,
+			OversampleFactor: cfg.OversampleFactor,
+			Seed:             cfg.Seed,
+			Approx:           cfg.Approx,
+		}.Determine, nil
+	case SampleSortRegular, SampleSortRandom:
+		method := samplesort.Regular
+		if cfg.Algorithm == SampleSortRandom {
+			method = samplesort.Random
+		}
+		return samplesort.Options[E]{
+			Cmp:           compare,
+			Epsilon:       cfg.Epsilon,
+			Buckets:       buckets,
+			Method:        method,
+			Oversample:    int(cfg.OversampleFactor),
+			MaxOversample: cfg.MaxOversample,
+			Seed:          cfg.Seed,
+		}.Determine, nil
+	case HistogramSort:
+		if coder == nil {
+			return nil, fmt.Errorf("hssort: %v requires an integer or float key type", cfg.Algorithm)
+		}
+		return histsort.Options[E]{Cmp: compare, Coder: coder, Epsilon: cfg.Epsilon, Buckets: buckets}.Determine, nil
+	case NodeHSS:
+		return nodesort.Options[E]{
+			Cmp:              compare,
+			CoresPerNode:     cfg.CoresPerNode,
+			Epsilon:          cfg.Epsilon,
+			Seed:             cfg.Seed,
+			OversampleFactor: cfg.OversampleFactor,
+		}.Determine, nil
 	}
-	return core.Options[E]{
-		Cmp:              compare,
-		Epsilon:          cfg.Epsilon,
-		Buckets:          cfg.Buckets,
-		Schedule:         sched,
-		Rounds:           cfg.Rounds,
-		OversampleFactor: cfg.OversampleFactor,
-		Seed:             cfg.Seed,
-		Approx:           cfg.Approx,
-	}
-}
-
-// nodeDetOptions wires Config into NodeHSS's node-level splitter
-// determination, mirroring nodesort.Sort's internal determine() exactly
-// — FixedOversampling over node-count buckets, nodesort's 0.02 default
-// ε, no Rounds/Approx threading — so plans match what its sorts do.
-func nodeDetOptions[E any](cfg Config, compare func(E, E) int) core.Options[E] {
-	eps := cfg.Epsilon
-	if eps == 0 {
-		eps = 0.02
-	}
-	return core.Options[E]{
-		Cmp:              compare,
-		Epsilon:          eps,
-		Buckets:          cfg.Procs / cfg.CoresPerNode,
-		Schedule:         core.FixedOversampling,
-		Seed:             cfg.Seed,
-		OversampleFactor: cfg.OversampleFactor,
-	}
-}
-
-// samplesortDetOptions wires Config into the sample-sort sampling
-// phase options.
-func samplesortDetOptions[E any](cfg Config, compare func(E, E) int) samplesort.Options[E] {
-	method := samplesort.Regular
-	if cfg.Algorithm == SampleSortRandom {
-		method = samplesort.Random
-	}
-	return samplesort.Options[E]{
-		Cmp:           compare,
-		Epsilon:       cfg.Epsilon,
-		Buckets:       cfg.Buckets,
-		Method:        method,
-		Oversample:    int(cfg.OversampleFactor),
-		MaxOversample: cfg.MaxOversample,
-		Seed:          cfg.Seed,
-	}
-}
-
-// histsortDetOptions wires Config into classic histogram sort's probe
-// refinement options.
-func histsortDetOptions[E any](cfg Config, compare func(E, E) int, coder keycoder.Coder[E]) histsort.Options[E] {
-	return histsort.Options[E]{
-		Cmp:     compare,
-		Coder:   coder,
-		Epsilon: cfg.Epsilon,
-		Buckets: cfg.Buckets,
-	}
-}
-
-// injection carries a sort call's plan-reuse state into dispatch.
-type injection[K any] struct {
-	// splitters, when non-nil, skip splitter determination.
-	splitters []K
-	// stale is the staleness bound guarding injected splitters (0 off).
-	stale float64
-	// scratch is this rank's reusable exchange state (may be nil).
-	scratch *exchange.Scratch[K]
-	// spill is this rank's out-of-core manager (nil when MemoryBudget
-	// is 0 or another process hosts the rank).
-	spill *spill.Manager
+	return nil, fmt.Errorf("hssort: %v is not splitter-based", cfg.Algorithm)
 }
 
 // guardNaN resolves the per-call code path for inputs that may contain
@@ -949,65 +809,14 @@ func guardNaN[E any](cp CodePath, shards [][]E, isNaN func(E) bool) (CodePath, e
 // non-nil, is the order-preserving extractor that puts the algorithm's
 // compute hot paths on the code plane (on the bijective plane K is
 // already the code-point type and code is the identity); prefix marks
-// it non-injective, selecting the tie-breaking prefix pipelines. inj
-// carries plan injection and per-rank scratch for the splitter-based
-// algorithms.
-func dispatch[K any](c *comm.Comm, local []K, cfg Config, compare func(K, K) int, coder keycoder.Coder[K], code func(K) uint64, prefix bool, inj injection[K]) ([]K, core.Stats, error) {
-	var owner func(int) int
-	if cfg.RoundRobinBuckets {
-		owner = exchange.RoundRobinOwner(cfg.Procs)
-	}
-	chunkKeys := cfg.ChunkKeys
-	if chunkKeys == 0 && cfg.StreamExchange {
-		chunkKeys = exchange.DefaultChunkKeys
-	}
-	if chunkKeys != 0 {
-		switch cfg.Algorithm {
-		case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, HistogramSort, NodeHSS:
-		default:
-			return nil, core.Stats{}, fmt.Errorf("hssort: StreamExchange is not supported by %v", cfg.Algorithm)
-		}
+// it non-injective, selecting the prefix plane. pipe carries plan
+// injection, scratch and spill state; the splitter-based algorithms run
+// the core pipeline with their determiner.
+func dispatch[K any](c *comm.Comm, local []K, cfg Config, compare func(K, K) int, coder keycoder.Coder[K], code func(K) uint64, prefix bool, pipe core.Pipeline[K]) ([]K, core.Stats, error) {
+	if (cfg.ChunkKeys != 0 || cfg.StreamExchange) && !splitterBased(cfg.Algorithm) {
+		return nil, core.Stats{}, fmt.Errorf("hssort: StreamExchange is not supported by %v", cfg.Algorithm)
 	}
 	switch cfg.Algorithm {
-	case HSS, HSSOneRound, HSSTheoretical:
-		o := hssDetOptions(cfg, compare)
-		o.Code = code
-		o.PrefixCode = prefix
-		o.Owner = owner
-		o.ChunkKeys = chunkKeys
-		o.Workers = cfg.Workers
-		o.Splitters = inj.splitters
-		o.StaleBound = inj.stale
-		o.Scratch = inj.scratch
-		o.Spill = inj.spill
-		return core.Sort(c, local, o)
-	case SampleSortRegular, SampleSortRandom:
-		o := samplesortDetOptions(cfg, compare)
-		o.Code = code
-		o.PrefixCode = prefix
-		o.Owner = owner
-		o.ChunkKeys = chunkKeys
-		o.Workers = cfg.Workers
-		o.Splitters = inj.splitters
-		o.StaleBound = inj.stale
-		o.Scratch = inj.scratch
-		o.Spill = inj.spill
-		return samplesort.Sort(c, local, o)
-	case HistogramSort:
-		if coder == nil && !prefix {
-			return nil, core.Stats{}, fmt.Errorf("hssort: %v requires an integer or float key type", cfg.Algorithm)
-		}
-		o := histsortDetOptions(cfg, compare, coder)
-		o.Code = code
-		o.PrefixCode = prefix
-		o.Owner = owner
-		o.ChunkKeys = chunkKeys
-		o.Workers = cfg.Workers
-		o.Splitters = inj.splitters
-		o.StaleBound = inj.stale
-		o.Scratch = inj.scratch
-		o.Spill = inj.spill
-		return histsort.Sort(c, local, o)
 	case Bitonic:
 		return bitonic.Sort(c, local, bitonic.Options[K]{Cmp: compare})
 	case Radix:
@@ -1015,30 +824,38 @@ func dispatch[K any](c *comm.Comm, local []K, cfg Config, compare func(K, K) int
 			return nil, core.Stats{}, fmt.Errorf("hssort: %v requires an integer or float key type", cfg.Algorithm)
 		}
 		return radix.Sort(c, local, radix.Options[K]{Cmp: compare, Coder: coder, Code: code})
-	case NodeHSS:
-		return nodesort.Sort(c, local, nodesort.Options[K]{
-			Cmp:              compare,
-			Code:             code,
-			PrefixCode:       prefix,
-			CoresPerNode:     cfg.CoresPerNode,
-			Epsilon:          cfg.Epsilon,
-			Schedule:         core.FixedOversampling,
-			Seed:             cfg.Seed,
-			OversampleFactor: cfg.OversampleFactor,
-			ChunkKeys:        chunkKeys,
-			Workers:          cfg.Workers,
-			Splitters:        inj.splitters,
-			StaleBound:       inj.stale,
-			Scratch:          inj.scratch,
-			Spill:            inj.spill,
-		})
 	case OverPartition:
 		return overpartition.Sort(c, local, overpartition.Options[K]{
 			Cmp:       compare,
 			OverRatio: cfg.Rounds, // reuse Rounds as k; 0 → log p
 			Seed:      cfg.Seed,
 		})
-	default:
+	}
+	if !splitterBased(cfg.Algorithm) {
 		return nil, core.Stats{}, fmt.Errorf("hssort: unknown algorithm %v", cfg.Algorithm)
 	}
+	pipe.Buckets = bucketsOf(cfg)
+	pipe.ChunkKeys = cfg.ChunkKeys
+	if pipe.ChunkKeys == 0 && cfg.StreamExchange {
+		pipe.ChunkKeys = exchange.DefaultChunkKeys
+	}
+	pipe.Workers = cfg.Workers
+	if cfg.RoundRobinBuckets {
+		pipe.Owner = exchange.RoundRobinOwner(cfg.Procs)
+	}
+	if cfg.Algorithm == NodeHSS {
+		pipe.Route = nodesort.Route[K](cfg.CoresPerNode)
+	}
+	if prefix {
+		det, err := determiner(cfg, codes.Compare, keycoder.Coder[codes.Code](codes.Identity{}))
+		if err != nil {
+			return nil, core.Stats{}, err
+		}
+		return core.Run(c, local, core.PrefixPlane(compare, code), pipe, det)
+	}
+	det, err := determiner(cfg, compare, coder)
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	return core.Run(c, local, core.KeyPlane(compare, code), pipe, det)
 }
