@@ -519,17 +519,12 @@ func bijectiveCodePlane(a Algorithm) bool { return splitterBased(a) || a == Radi
 // bijection for key-space arithmetic, which records do not admit.
 func recordCodePlane(a Algorithm) bool { return splitterBased(a) && a != HistogramSort }
 
-// prefixCodePlane reports whether the algorithm accepts the prefix
-// plane (non-injective order-preserving codes with comparator
-// tie-breaks — byte-string keys): every splitter-based algorithm does,
-// HistogramSort bisecting code space directly. Radix does not — it
-// needs the full bijection to reconstruct keys from codes.
-func prefixCodePlane(a Algorithm) bool { return splitterBased(a) }
-
 // splitterBased reports whether the algorithm partitions by determined
 // splitters — the algorithms the core pipeline driver runs, and so the
 // ones that support plans, the streaming exchange, memory budgets and
-// the prefix plane.
+// the prefix plane (non-injective codes with comparator tie-breaks —
+// byte-string keys; HistogramSort bisects code space directly, while
+// Radix needs the full bijection to reconstruct keys from codes).
 func splitterBased(a Algorithm) bool {
 	switch a {
 	case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, HistogramSort, NodeHSS:

@@ -160,13 +160,13 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 // runs, so tooling that targets a phase (ChaosConfig.CrashPhase) hits
 // the same tags whichever algorithm is configured.
 const (
-	// BaseTag is the first tag a sort occupies on its endpoint.
-	BaseTag comm.Tag = 1000
+	// baseTag is the first tag a sort occupies on its endpoint.
+	baseTag comm.Tag = 1000
 	// tagCount is the global key-count all-reduce (+1).
-	tagCount = BaseTag
+	tagCount = baseTag
 	// SplitterTag is the first of SplitterTags consecutive tags a
 	// Determiner may use.
-	SplitterTag  = BaseTag + 2
+	SplitterTag  = baseTag + 2
 	SplitterTags = 4
 	// RouteTag is the first of RouteTags consecutive tags a Route may
 	// use; the flat exchange uses only the first.
@@ -190,9 +190,9 @@ const (
 func PhaseTagRange(phase string) (lo, hi comm.Tag, ok bool) {
 	switch phase {
 	case "start":
-		return BaseTag, tagEnd, true
+		return baseTag, tagEnd, true
 	case "splitter":
-		return BaseTag, RouteTag, true
+		return baseTag, RouteTag, true
 	case "exchange":
 		return RouteTag, tagStats, true
 	}

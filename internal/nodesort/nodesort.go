@@ -64,16 +64,15 @@ const (
 	tagScatter = core.RouteTag + 2 // within-node scatter
 )
 
-// Route returns NodeHSS's two-level data movement for nodes of
-// coresPerNode consecutive ranks, in place of the flat exchange: every
+// Route returns NodeHSS's two-level data movement for nodes of cores
+// consecutive ranks, in place of the flat exchange: every
 // core hands its per-node runs to its node leader, the leaders combine
 // them and exchange n(n-1) node-to-node messages, and each leader cuts
 // its merged node bucket into exact per-core quantiles and scatters
 // them back. Rank order is global order.
-func Route[K any](coresPerNode int) core.Route[K] {
+func Route[K any](cores int) core.Route[K] {
 	return func(c *comm.Comm, runs [][]K, env core.RouteEnv[K]) (core.Moved[K], error) {
 		var m core.Moved[K]
-		cores := coresPerNode
 		nodes := c.Size() / cores
 		leaderRank := c.Rank() / cores * cores
 		isLeader := c.Rank() == leaderRank

@@ -153,7 +153,7 @@ func newSorter[K any](cfg Config, compare func(K, K) int, builtin keycoder.Coder
 	} else if cfg.CodePath == CodePathOn {
 		useBijective := coder != nil && bijectiveCodePlane(cfg.Algorithm)
 		useRecord := !useBijective && !prefix && code != nil && recordCodePlane(cfg.Algorithm)
-		usePrefix := prefix && code != nil && prefixCodePlane(cfg.Algorithm)
+		usePrefix := prefix && code != nil && splitterBased(cfg.Algorithm)
 		if !useBijective && !useRecord && !usePrefix {
 			if coder == nil && code == nil {
 				return nil, fmt.Errorf("hssort: CodePathOn, but no order-preserving coder is known for the key type (set Config.Coder)")
@@ -337,7 +337,7 @@ func (s *Sorter[K]) resolvePlanes(shards [][]K, planSplitters []K) (useBijective
 	}
 	useBijective = cp != CodePathOff && s.coder != nil && bijectiveCodePlane(s.cfg.Algorithm)
 	useRecord = cp != CodePathOff && !useBijective && !s.prefix && s.code != nil && recordCodePlane(s.cfg.Algorithm)
-	usePrefix = cp != CodePathOff && s.prefix && s.code != nil && prefixCodePlane(s.cfg.Algorithm)
+	usePrefix = cp != CodePathOff && s.prefix && s.code != nil && splitterBased(s.cfg.Algorithm)
 	return useBijective, useRecord, usePrefix, nil
 }
 
